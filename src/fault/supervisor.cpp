@@ -4,6 +4,7 @@
 #include <cassert>
 #include <climits>
 #include <cmath>
+#include <iterator>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -124,6 +125,27 @@ const char* to_string(Rung r) {
     case Rung::kHostSort: return "host-sort";
   }
   return "?";
+}
+
+std::vector<cube::NodeId> persistent_suspects(std::span<const Diagnosis> diagnoses) {
+  std::vector<cube::NodeId> common;
+  bool any = false;
+  for (const auto& d : diagnoses) {
+    // An inconclusive diagnosis (no suspects) carries no exculpatory
+    // evidence; skipping it keeps the intersection from vacuously emptying.
+    if (d.suspects.empty()) continue;
+    if (!any) {
+      common = d.suspects;  // already ascending
+      any = true;
+      continue;
+    }
+    std::vector<cube::NodeId> next;
+    std::set_intersection(common.begin(), common.end(), d.suspects.begin(),
+                          d.suspects.end(), std::back_inserter(next));
+    common = std::move(next);
+    if (common.empty()) break;
+  }
+  return any ? common : std::vector<cube::NodeId>{};
 }
 
 RecoveryPolicy RecoveryPolicy::full_restart(int max_attempts) {

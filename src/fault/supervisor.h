@@ -16,7 +16,7 @@
 //      hit before boundary 1) the attempt restarts from scratch in the same
 //      configuration;
 //   3. degraded-mode reconfiguration — per-attempt diagnoses intersect into a
-//      persistent-suspect set (fault/recovery.h); once it is stable the
+//      persistent-suspect set (persistent_suspects below); once it is stable the
 //      workload is remapped onto a fault-free subcube that excludes the
 //      suspects (cube::best_excluding_cut, block size doubled per collapsed
 //      dimension) and the sort finishes there;
@@ -38,10 +38,14 @@
 #include <vector>
 
 #include "fault/localization.h"
-#include "fault/recovery.h"
 #include "sort/sft.h"
 
 namespace aoft::fault {
+
+// Returns the interceptor to install for the given attempt (nullptr = clean
+// links), in physical (full-cube) coordinates.  The returned object must stay
+// alive for the whole attempt.
+using InterceptorFactory = std::function<sim::LinkInterceptor*(int attempt)>;
 
 // Returns the node-fault assignment for the given attempt, in *physical*
 // (full-cube) node ids; nullptr-equivalent (empty function) means the base
@@ -76,8 +80,11 @@ struct RecoveryPolicy {
   double backoff_ticks = 0.0;
   double backoff_factor = 2.0;
 
-  // The pre-supervisor semantics of run_sft_with_recovery: blind full
-  // restarts, no reconfiguration, no fallback — fail-stop after the budget.
+  // Plain retry: blind full restarts, no reconfiguration, no fallback —
+  // fail-stop after the budget.  A transient fault (a glitched message, a
+  // link that recovers) does not reappear, so a retry completes correctly;
+  // a permanent one reproduces the fail-stop, and the per-attempt diagnoses
+  // intersect to a stable suspect set.
   static RecoveryPolicy full_restart(int max_attempts = 2);
 };
 
@@ -118,6 +125,16 @@ struct SupervisedRun {
   std::vector<Diagnosis> diagnoses;   // one per failed attempt, physical ids
   std::vector<cube::NodeId> retired;  // suspects excluded by reconfiguration
 };
+
+// Suspects implicated by every *conclusive* failed attempt — the
+// permanent-fault candidates.  An inconclusive diagnosis (no suspects at
+// all, e.g. the fail-stop cascaded before localization could pin anyone)
+// carries no exculpatory evidence, so it is skipped rather than vacuously
+// emptying the intersection; a link-pair diagnosis (Definition 3 case 2a)
+// participates with both endpoints, so a recurring dead link intersects to
+// its stable endpoint pair.  Empty when no conclusive diagnosis exists or no
+// suspect recurs through all of them.
+std::vector<cube::NodeId> persistent_suspects(std::span<const Diagnosis> diagnoses);
 
 // Sort `input` under the full escalation ladder.  With the default policy the
 // returned outcome is kCorrect for any fault pattern the predicates catch —

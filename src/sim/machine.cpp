@@ -24,6 +24,7 @@ const char* to_string(ErrorSource s) {
 // ---- Ctx ----
 
 const cube::Topology& Ctx::topo() const { return machine_->topo_; }
+bool Ctx::remote() const { return machine_->remote(); }
 
 KeyPool& Ctx::pool() { return machine_->pool_; }
 

@@ -84,6 +84,10 @@ class Ctx {
   const cube::Topology& topo() const;
   int dim() const { return topo().dimension(); }
 
+  // True when this node runs in its own OS process over a RemoteLink (a
+  // multi-process fleet child), where process-level faults are real.
+  bool remote() const;
+
   double clock() const { return stats_.clock; }
   void charge(double ticks) {
     stats_.clock += ticks;

@@ -42,11 +42,6 @@
 #include "sort/driver.h"
 #include "transport/backend.h"
 
-namespace aoft::transport {
-class ShmSegment;
-class TcpNodeEndpoint;
-}
-
 namespace aoft::sort {
 
 // One node's view at a stage boundary, for traces and the Figure-5 test.
@@ -100,26 +95,18 @@ struct SftOptions {
   // over shared-memory rings and must reproduce the oracle's sorted output
   // and fail-stop verdicts for identical fault scripts.  kShm rejects
   // `observer` and `machine` (both are in-process affordances a forked child
-  // cannot share back) and is limited to dim <= transport::kMaxShmDim.
+  // cannot share back) and wedge_process faults (sort/fleet.h), and is
+  // limited to dim <= transport::kMaxProcessDim.
   transport::Backend backend = transport::Backend::kSim;
   transport::ShmOptions shm;
 
   // kTcp options: one OS process per node over framed loopback/LAN sockets,
   // with heartbeat-based peer-death detection in place of the shm parent's
   // waitpid authority (docs/PROTOCOL.md §13).  Same rejections and dim cap
-  // as kShm.
+  // as kShm, except that wedge_process is allowed, plus a CONFIG frame
+  // limit.
   transport::TcpOptions tcp;
 };
-
-namespace detail {
-// Exec-mode child entry (tools/aoft_node): run node `p`'s S_FT program
-// against an attached segment, reconstructing the options from its header.
-// Returns the child's exit code.
-int run_sft_shm_node(transport::ShmSegment& seg, cube::NodeId p);
-// Same for the tcp backend: the endpoint has already received its CONFIG
-// (which is how aoft_node knew to dispatch here).
-int run_sft_tcp_node(transport::TcpNodeEndpoint& ep, cube::NodeId p);
-}  // namespace detail
 
 // Sort `input` (flattened, size 2^dim * block) reliably.  The returned run is
 // kCorrect or kFailStop for up to dim-1 faulty nodes (paper Thm 3) — the

@@ -22,11 +22,6 @@
 #include "sort/driver.h"
 #include "transport/backend.h"
 
-namespace aoft::transport {
-class ShmSegment;
-class TcpNodeEndpoint;
-}
-
 namespace aoft::sort {
 
 struct SnrOptions {
@@ -45,12 +40,6 @@ struct SnrOptions {
   transport::ShmOptions shm;
   transport::TcpOptions tcp;
 };
-
-namespace detail {
-// Exec-mode child entry (tools/aoft_node) for the S_NR node program.
-int run_snr_shm_node(transport::ShmSegment& seg, cube::NodeId p);
-int run_snr_tcp_node(transport::TcpNodeEndpoint& ep, cube::NodeId p);
-}  // namespace detail
 
 // Sort `input` (flattened, size 2^dim * block) on a simulated dim-cube.
 // S_NR is unprotected: under faults the run may end kSilentWrong, which is

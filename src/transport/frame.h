@@ -24,8 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "transport/shm_segment.h"
-#include "transport/slot_state.h"
+#include "transport/fleet.h"
 
 namespace aoft::transport {
 
@@ -153,33 +152,26 @@ struct WirePortEntry {
 };
 static_assert(std::is_trivially_copyable_v<WirePortEntry>);
 
+inline constexpr std::uint32_t kTcpVersion = 2;
+
 // kConfig payload: this fixed head, then WireFault[N], WirePortEntry[N],
-// Key[N*m] input, and (if with_resume) Key[N*m] llbs.  Mirrors SegmentHeader
-// field-for-field so exec'd children reconstruct SftOptions/SnrOptions the
-// same way shm exec children do from the segment.
+// Key[N*m] input, and (if job.with_resume) Key[N*m] llbs.  The job is the
+// same JobHead the shm SegmentHeader embeds, so exec'd children rebuild
+// their options from either fabric with one function per algorithm.
 struct TcpConfigHead {
   char magic[8] = {};
-  std::uint32_t version = 1;
-  std::uint32_t dim = 0;
-  std::uint64_t block = 1;
-  std::int32_t start_stage = 0;
-  std::uint8_t algo = 0;  // 0 = sft, 1 = snr
-  std::uint8_t checkpoint = 0, record_events = 0, with_resume = 0;
-  std::uint8_t check_progress = 1, check_feasibility = 1;
-  std::uint8_t check_consistency = 1, check_exchange = 1;
+  std::uint32_t version = kTcpVersion;
   std::int32_t for_node = 0;  // the addressee (sanity check)
+  JobHead job;
   double recv_timeout_s = kDefaultRecvTimeoutS;
   double heartbeat_interval_s = 0.0;
   double heartbeat_loss_s = 0.0;
-  sim::CostModel cost{};
-  std::uint32_t event_cap = 0;
-  std::uint32_t pad_ = 0;
 };
 static_assert(std::is_trivially_copyable_v<TcpConfigHead>);
 
 // Exact CONFIG payload size for a job: head + WireFault[N] + WirePortEntry[N]
 // + the input key image (+ the LLBS image on a resume).  CONFIG is the
-// largest frame of the protocol, so the drivers use this to reject a job
+// largest frame of the protocol, so the fleet uses this to reject a job
 // that cannot fit one frame *before* spawning any process, with a message
 // naming the real limit instead of a downstream "stream ended before
 // CONFIG" mystery; broadcast_config re-checks the same bound at send time.
@@ -193,17 +185,13 @@ inline std::size_t config_frame_bytes(int dim, std::uint64_t block,
 }
 
 // kFinish payload: this fixed head, then WireError[error_count],
-// WireLinkEvent[event_count], Key[out_count] (the node's output block).
-// Field set matches NodeSlot so parent-side result assembly is shared with
-// the shm backend.
+// WireLinkEvent[event_count], Key[out_count] — one NodeResult
+// (transport/fleet.h), the record the shm NodeSlot carries too.
 struct FinishHead {
   std::int32_t node = 0;
   std::uint32_t state = 0;  // SlotState: kDone or kFailed
-  double clock = 0.0, comp_ticks = 0.0, comm_ticks = 0.0;
-  std::uint64_t msgs_sent = 0, words_sent = 0;
-  std::uint32_t watchdog_rounds = 0;
-  std::uint32_t error_count = 0, error_overflow = 0;
-  std::uint32_t event_count = 0, event_overflow = 0;
+  WireStats stats;
+  std::uint32_t error_count = 0, event_count = 0;
   std::uint32_t out_count = 0;
   char fail_reason[kErrDetailBytes] = {};
 };

@@ -5,166 +5,131 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 
 namespace aoft::transport {
 
-namespace {
+using Clock = std::chrono::steady_clock;
 
-void store_state(NodeSlot& slot, SlotState s) {
-  slot.state.store(static_cast<std::uint32_t>(s), std::memory_order_release);
+ProcessTable::ProcessTable(cube::NodeId num_nodes, double run_deadline_s,
+                           OnReap on_reap)
+    : pids_(num_nodes, 0),
+      reaped_(num_nodes, false),
+      start_(Clock::now()),
+      deadline_s_(run_deadline_s),
+      on_reap_(std::move(on_reap)) {}
+
+ProcessTable::~ProcessTable() {
+  kill_all();
+  for (cube::NodeId p = 0; p < pids_.size(); ++p)
+    if (!reaped_[p] && pids_[p] != 0) waitpid(pids_[p], nullptr, 0);
 }
 
-void copy_detail(char (&dst)[kErrDetailBytes], const std::string& src) {
-  const std::size_t n = std::min(src.size(), sizeof dst - 1);
-  std::memcpy(dst, src.data(), n);
-  dst[n] = '\0';
-}
-
-}  // namespace
-
-ShmParent::ShmParent(ShmSegment& seg)
-    : seg_(seg),
-      pids_(seg.num_nodes(), 0),
-      reaped_(seg.num_nodes(), false),
-      start_(std::chrono::steady_clock::now()) {}
-
-void ShmParent::spawn_fork(
-    const std::function<int(cube::NodeId)>& child_main) {
-  for (cube::NodeId p = 0; p < seg_.num_nodes(); ++p) {
-    const pid_t pid = fork();
-    if (pid < 0) {
-      kill_all();
-      throw std::runtime_error("fork failed for node " + std::to_string(p));
-    }
-    if (pid == 0) _exit(child_main(p));
-    pids_[p] = pid;
-    seg_.slot(p).pid = pid;
+std::int32_t ProcessTable::fork_node(
+    cube::NodeId p, const std::function<int(cube::NodeId)>& child_main) {
+  const pid_t pid = fork();
+  if (pid < 0) {
+    kill_all();
+    throw std::runtime_error("fork failed for node " + std::to_string(p));
   }
+  if (pid == 0) _exit(child_main(p));
+  pids_[p] = pid;
+  return pid;
 }
 
-void ShmParent::spawn_exec(const std::string& binary) {
-  const std::string seg_arg = "--segment=" + seg_.name();
-  for (cube::NodeId p = 0; p < seg_.num_nodes(); ++p) {
-    const std::string node_arg = "--node=" + std::to_string(p);
-    const pid_t pid = fork();
-    if (pid < 0) {
-      kill_all();
-      throw std::runtime_error("fork failed for node " + std::to_string(p));
-    }
-    if (pid == 0) {
-      execl(binary.c_str(), binary.c_str(), seg_arg.c_str(), node_arg.c_str(),
-            static_cast<char*>(nullptr));
-      // Exec failure: no segment state is trustworthy from here, just leave.
-      std::perror("execl");
-      _exit(127);
-    }
-    pids_[p] = pid;
-    seg_.slot(p).pid = pid;
-  }
+std::int32_t ProcessTable::exec_node(cube::NodeId p,
+                                     const std::vector<std::string>& argv) {
+  // Built before the fork: the child only execs.
+  std::vector<char*> args;
+  for (const auto& a : argv) args.push_back(const_cast<char*>(a.c_str()));
+  args.push_back(nullptr);
+  return fork_node(p, [&args](cube::NodeId) {
+    execv(args[0], args.data());
+    // Exec failure: no shared state is trustworthy from here, just leave.
+    std::perror("execv");
+    return 127;
+  });
 }
 
-void ShmParent::reap(cube::NodeId p, int wstatus) {
-  reaped_[p] = true;
-  NodeSlot& slot = seg_.slot(p);
-  const auto state = static_cast<SlotState>(
-      slot.state.load(std::memory_order_acquire));
-  if (slot_terminal(state)) return;  // child published before exiting
-  if (WIFSIGNALED(wstatus)) {
-    // Crashed or SIGKILLed mid-protocol: this store is what lets waiting
-    // peers conclude the node is silent forever.
-    store_state(slot, SlotState::kDead);
-    return;
-  }
-  copy_detail(slot.fail_reason, WIFEXITED(wstatus) && WEXITSTATUS(wstatus) != 0
-                                    ? "exited " + std::to_string(
-                                          WEXITSTATUS(wstatus)) +
-                                          " without publishing"
-                                    : "exited without publishing");
-  store_state(slot, SlotState::kFailed);
-}
-
-void ShmParent::poll() {
-  for (cube::NodeId p = 0; p < seg_.num_nodes(); ++p) {
+void ProcessTable::poll() {
+  for (cube::NodeId p = 0; p < pids_.size(); ++p) {
     if (reaped_[p] || pids_[p] == 0) continue;
     int wstatus = 0;
-    const pid_t got = waitpid(pids_[p], &wstatus, WNOHANG);
-    if (got == pids_[p]) reap(p, wstatus);
+    if (waitpid(pids_[p], &wstatus, WNOHANG) != pids_[p]) continue;
+    reaped_[p] = true;
+    if (on_reap_) on_reap_(p, wstatus);
   }
-  if (!killed_ && !all_reaped()) {
-    const double elapsed = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start_)
-                               .count();
-    if (elapsed > seg_.header().run_deadline_s) kill_all();
-  }
+  if (!killed_ && !all_reaped() &&
+      std::chrono::duration<double>(Clock::now() - start_).count() >
+          deadline_s_)
+    kill_all();
 }
 
-void ShmParent::await_all() {
-  while (!all_reaped()) {
+void ProcessTable::await_all(double grace_s) {
+  const auto t0 = Clock::now();
+  for (;;) {
     poll();
-    if (all_reaped()) break;
+    if (all_reaped()) return;
+    if (!killed_ &&
+        std::chrono::duration<double>(Clock::now() - t0).count() >= grace_s)
+      kill_all();
     std::this_thread::sleep_for(std::chrono::microseconds(500));
   }
 }
 
-void ShmParent::kill_all() {
+void ProcessTable::kill_all() {
   killed_ = true;
-  for (cube::NodeId p = 0; p < seg_.num_nodes(); ++p)
+  for (cube::NodeId p = 0; p < pids_.size(); ++p)
     if (!reaped_[p] && pids_[p] != 0) kill(pids_[p], SIGKILL);
 }
 
-bool ShmParent::all_reaped() const {
-  for (cube::NodeId p = 0; p < seg_.num_nodes(); ++p)
+bool ProcessTable::all_reaped() const {
+  for (cube::NodeId p = 0; p < pids_.size(); ++p)
     if (!reaped_[p] && pids_[p] != 0) return false;
   return true;
 }
 
-void finish_shm_node(ShmSegment& seg, cube::NodeId p,
-                     const sim::Machine& mach) {
-  NodeSlot& slot = seg.slot(p);
-  const sim::NodeStats& st = mach.node_stats(p);
-  slot.clock = st.clock;
-  slot.comp_ticks = st.comp_ticks;
-  slot.comm_ticks = st.comm_ticks;
-  slot.msgs_sent = st.msgs_sent;
-  slot.words_sent = st.words_sent;
-  slot.watchdog_rounds =
-      static_cast<std::uint32_t>(mach.summary().watchdog_rounds);
+ShmParent::ShmParent(ShmSegment& seg)
+    : seg_(seg),
+      procs_(seg.num_nodes(), seg.header().run_deadline_s,
+             [this](cube::NodeId p, int wstatus) { reap(p, wstatus); }) {}
 
-  for (const sim::ErrorReport& e : mach.errors()) {
-    if (slot.error_count >= kMaxSlotErrors) {
-      ++slot.error_overflow;
-      continue;
-    }
-    WireError& w = slot.errors[slot.error_count++];
-    w.stage = e.stage;
-    w.iter = e.iter;
-    w.source = static_cast<std::uint8_t>(e.source);
-    copy_detail(w.detail, e.detail);
-  }
+void ShmParent::spawn_fork(
+    const std::function<int(cube::NodeId)>& child_main) {
+  for (cube::NodeId p = 0; p < seg_.num_nodes(); ++p)
+    seg_.slot(p).pid = procs_.fork_node(p, child_main);
+}
 
-  const auto cap = seg.header().event_cap;
-  if (cap > 0) {
-    auto events = seg.events(p);
-    for (const sim::LinkEvent& e : mach.link_events()) {
-      if (slot.event_count >= cap) {
-        ++slot.event_overflow;
-        continue;
-      }
-      WireLinkEvent& w = events[slot.event_count++];
-      w.from = static_cast<std::int32_t>(e.from);
-      w.to = static_cast<std::int32_t>(e.to);
-      w.kind = static_cast<std::uint8_t>(e.kind);
-      w.delivered = e.delivered ? 1 : 0;
-      w.to_host = e.to_host ? 1 : 0;
-      w.from_host = e.from_host ? 1 : 0;
-      w.stage = e.stage;
-      w.iter = e.iter;
-      w.words = e.words;
-    }
+void ShmParent::spawn_exec(const std::string& binary) {
+  const std::string seg_arg = "--segment=" + seg_.name();
+  for (cube::NodeId p = 0; p < seg_.num_nodes(); ++p)
+    seg_.slot(p).pid = procs_.exec_node(
+        p, {binary, seg_arg, "--node=" + std::to_string(p)});
+}
+
+void ShmParent::await_all() {
+  procs_.await_all(std::numeric_limits<double>::infinity());
+}
+
+void ShmParent::reap(cube::NodeId p, int wstatus) {
+  NodeSlot& slot = seg_.slot(p);
+  const auto state =
+      static_cast<SlotState>(slot.state.load(std::memory_order_acquire));
+  if (slot_terminal(state)) return;  // child published before exiting
+  SlotState verdict = SlotState::kDead;
+  if (!WIFSIGNALED(wstatus)) {
+    // Exited without publishing: a harness failure, not a crash.
+    verdict = SlotState::kFailed;
+    std::snprintf(slot.fail_reason, sizeof slot.fail_reason,
+                  "exited %d without publishing",
+                  WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1);
   }
+  // Crashed or SIGKILLed mid-protocol: this store is what lets waiting
+  // peers conclude the node is silent forever.
+  slot.state.store(static_cast<std::uint32_t>(verdict),
+                   std::memory_order_release);
 }
 
 void kill_self() {

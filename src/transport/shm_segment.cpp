@@ -41,10 +41,10 @@ std::uint64_t ring_footprint(std::uint64_t buf_bytes) {
 }  // namespace
 
 ShmSegment ShmSegment::create(const Config& cfg) {
-  if (cfg.dim < 0 || cfg.dim > kMaxShmDim)
+  if (cfg.dim < 0 || cfg.dim > kMaxProcessDim)
     throw std::invalid_argument(
         "shm backend supports cube dimensions 0.." +
-        std::to_string(kMaxShmDim) + ", got " + std::to_string(cfg.dim));
+        std::to_string(kMaxProcessDim) + ", got " + std::to_string(cfg.dim));
   if (cfg.block < 1)
     throw std::invalid_argument("shm backend needs block >= 1");
 
@@ -55,21 +55,10 @@ ShmSegment ShmSegment::create(const Config& cfg) {
   SegmentHeader hd;
   std::memcpy(hd.magic, kSegmentMagic, sizeof hd.magic);
   hd.version = kSegmentVersion;
-  hd.dim = static_cast<std::uint32_t>(cfg.dim);
-  hd.block = m;
-  hd.start_stage = cfg.start_stage;
-  hd.algo = cfg.algo;
-  hd.checkpoint = cfg.checkpoint ? 1 : 0;
-  hd.record_events = cfg.record_events ? 1 : 0;
-  hd.with_resume = cfg.with_resume ? 1 : 0;
-  hd.check_progress = cfg.check_progress ? 1 : 0;
-  hd.check_feasibility = cfg.check_feasibility ? 1 : 0;
-  hd.check_consistency = cfg.check_consistency ? 1 : 0;
-  hd.check_exchange = cfg.check_exchange ? 1 : 0;
+  hd.job = cfg;
   hd.host_pid = static_cast<std::int32_t>(getpid());
   hd.recv_timeout_s = cfg.recv_timeout_s;
   hd.run_deadline_s = cfg.run_deadline_s;
-  hd.cost = cfg.cost;
 
   // Whole-run ring capacities (see the header comment).  A directed node
   // link carries at most dim+1 messages, each up to a full-cube LBS slice
@@ -172,7 +161,7 @@ ShmSegment ShmSegment::attach(const std::string& name) {
   const auto& hd = seg.header();
   if (std::memcmp(hd.magic, kSegmentMagic, sizeof hd.magic) != 0 ||
       hd.version != kSegmentVersion || hd.total_bytes != size ||
-      hd.dim > static_cast<std::uint32_t>(kMaxShmDim))
+      hd.job.dim < 0 || hd.job.dim > kMaxProcessDim)
     throw std::runtime_error("segment " + name +
                              " has a foreign or corrupt header");
   return seg;
@@ -197,8 +186,8 @@ ShmSegment::~ShmSegment() {
   if (owner_) shm_unlink(name_.c_str());
 }
 
-WireFault& ShmSegment::fault(cube::NodeId p) {
-  return reinterpret_cast<WireFault*>(at(header().off_faults))[p];
+std::span<WireFault> ShmSegment::faults() {
+  return {reinterpret_cast<WireFault*>(at(header().off_faults)), num_nodes()};
 }
 
 NodeSlot& ShmSegment::slot(cube::NodeId p) {
@@ -212,24 +201,24 @@ std::span<WireLinkEvent> ShmSegment::events(cube::NodeId p) {
 }
 
 std::span<sim::Key> ShmSegment::input() {
-  const std::size_t keys = num_nodes() * header().block;
+  const std::size_t keys = num_nodes() * header().job.block;
   return {reinterpret_cast<sim::Key*>(at(header().off_input)), keys};
 }
 
 std::span<sim::Key> ShmSegment::llbs() {
-  const std::size_t keys = num_nodes() * header().block;
+  const std::size_t keys = num_nodes() * header().job.block;
   return {reinterpret_cast<sim::Key*>(at(header().off_llbs)), keys};
 }
 
 std::span<sim::Key> ShmSegment::output() {
-  const std::size_t keys = num_nodes() * header().block;
+  const std::size_t keys = num_nodes() * header().job.block;
   return {reinterpret_cast<sim::Key*>(at(header().off_output)), keys};
 }
 
 ShmRing ShmSegment::link_ring(cube::NodeId to, int k) {
   const auto& hd = header();
   const std::uint64_t per_node =
-      static_cast<std::uint64_t>(hd.dim) * ring_footprint(hd.link_ring_bytes) +
+      static_cast<std::uint64_t>(hd.job.dim) * ring_footprint(hd.link_ring_bytes) +
       ring_footprint(hd.up_ring_bytes) + ring_footprint(hd.down_ring_bytes);
   std::uint64_t off = hd.off_rings + to * per_node +
                       static_cast<std::uint64_t>(k) *
@@ -241,11 +230,11 @@ ShmRing ShmSegment::link_ring(cube::NodeId to, int k) {
 ShmRing ShmSegment::up_ring(cube::NodeId p) {
   const auto& hd = header();
   const std::uint64_t per_node =
-      static_cast<std::uint64_t>(hd.dim) * ring_footprint(hd.link_ring_bytes) +
+      static_cast<std::uint64_t>(hd.job.dim) * ring_footprint(hd.link_ring_bytes) +
       ring_footprint(hd.up_ring_bytes) + ring_footprint(hd.down_ring_bytes);
   const std::uint64_t off =
       hd.off_rings + p * per_node +
-      static_cast<std::uint64_t>(hd.dim) * ring_footprint(hd.link_ring_bytes);
+      static_cast<std::uint64_t>(hd.job.dim) * ring_footprint(hd.link_ring_bytes);
   auto* rh = reinterpret_cast<ShmRingHdr*>(at(off));
   return ShmRing(rh, at(off + sizeof(ShmRingHdr)), hd.up_ring_bytes);
 }
@@ -253,11 +242,11 @@ ShmRing ShmSegment::up_ring(cube::NodeId p) {
 ShmRing ShmSegment::down_ring(cube::NodeId p) {
   const auto& hd = header();
   const std::uint64_t per_node =
-      static_cast<std::uint64_t>(hd.dim) * ring_footprint(hd.link_ring_bytes) +
+      static_cast<std::uint64_t>(hd.job.dim) * ring_footprint(hd.link_ring_bytes) +
       ring_footprint(hd.up_ring_bytes) + ring_footprint(hd.down_ring_bytes);
   const std::uint64_t off =
       hd.off_rings + p * per_node +
-      static_cast<std::uint64_t>(hd.dim) * ring_footprint(hd.link_ring_bytes) +
+      static_cast<std::uint64_t>(hd.job.dim) * ring_footprint(hd.link_ring_bytes) +
       ring_footprint(hd.up_ring_bytes);
   auto* rh = reinterpret_cast<ShmRingHdr*>(at(off));
   return ShmRing(rh, at(off + sizeof(ShmRingHdr)), hd.down_ring_bytes);

@@ -30,48 +30,16 @@
 #include <string>
 
 #include "hypercube/topology.h"
-#include "sim/cost_model.h"
-#include "sim/pool.h"
 #include "transport/backend.h"
+#include "transport/fleet.h"
 #include "transport/shm_ring.h"
 #include "transport/slot_state.h"
 
 namespace aoft::transport {
 
-inline constexpr int kMaxShmDim = kMaxProcessDim;  // shared multi-process cap
 inline constexpr char kSegmentMagic[8] = {'A', 'O', 'F', 'T',
                                           'S', 'H', 'M', '1'};
-inline constexpr std::uint32_t kSegmentVersion = 1;
-inline constexpr std::uint32_t kMaxSlotErrors = 16;
-inline constexpr std::uint32_t kErrDetailBytes = 96;
-
-// The host's role id for ShmTransport (any negative value works for
-// Machine::attach_remote; this one is the convention).
-inline constexpr std::int32_t kHostRole = -1;
-
-// fault::NodeFault flattened to POD for the segment (exec'd children cannot
-// inherit the parent's NodeFaultMap).
-struct WireFault {
-  std::uint8_t has_halt = 0, has_invert = 0, has_subst = 0;
-  std::uint8_t silent_checker = 0, kill_process = 0, wedge_process = 0;
-  std::int32_t halt_stage = 0, halt_iter = 0;
-  std::int32_t invert_stage = 0, invert_iter = 0;
-  std::int32_t subst_stage = 0, subst_iter = 0;
-  std::int64_t subst_value = 0;
-};
-
-struct WireError {
-  std::int32_t stage = -1, iter = -1;
-  std::uint8_t source = 0;
-  char detail[kErrDetailBytes] = {};
-};
-
-struct WireLinkEvent {
-  std::int32_t from = 0, to = 0;
-  std::uint8_t kind = 0, delivered = 0, to_host = 0, from_host = 0;
-  std::int32_t stage = -1, iter = -1;
-  std::uint32_t words = 0;
-};
+inline constexpr std::uint32_t kSegmentVersion = 2;
 
 // SlotState and slot_terminal() live in transport/slot_state.h — the tcp
 // backend's PeerWatch shares them.
@@ -79,13 +47,9 @@ struct WireLinkEvent {
 struct NodeSlot {
   std::atomic<std::uint32_t> state;  // SlotState; child-written, parent-reaped
   std::int32_t pid = 0;
-  // sim::NodeStats of the child's machine, published at completion.
-  double clock = 0.0, comp_ticks = 0.0, comm_ticks = 0.0;
-  std::uint64_t msgs_sent = 0, words_sent = 0;
-  std::uint32_t watchdog_rounds = 0;
+  WireStats stats;                  // published at completion
   std::uint32_t send_overflow = 0;  // ring-full sends absorbed (sizing bug)
-  std::uint32_t error_count = 0, error_overflow = 0;
-  std::uint32_t event_count = 0, event_overflow = 0;
+  std::uint32_t error_count = 0, event_count = 0;
   WireError errors[kMaxSlotErrors] = {};
   char fail_reason[kErrDetailBytes] = {};
 };
@@ -93,17 +57,10 @@ struct NodeSlot {
 struct SegmentHeader {
   char magic[8] = {};
   std::uint32_t version = 0;
-  std::uint32_t dim = 0;
-  std::uint64_t block = 1;
-  std::int32_t start_stage = 0;
-  std::uint8_t algo = 0;  // 0 = sft, 1 = snr
-  std::uint8_t checkpoint = 0, record_events = 0, with_resume = 0;
-  std::uint8_t check_progress = 1, check_feasibility = 1;
-  std::uint8_t check_consistency = 1, check_exchange = 1;
   std::int32_t host_pid = 0;
+  JobHead job;
   double recv_timeout_s = kDefaultRecvTimeoutS;
   double run_deadline_s = kDefaultRunDeadlineS;
-  sim::CostModel cost{};
   std::uint64_t link_ring_bytes = 0, up_ring_bytes = 0, down_ring_bytes = 0;
   std::uint32_t event_cap = 0;
   std::uint64_t off_faults = 0, off_slots = 0, off_events = 0;
@@ -114,24 +71,14 @@ static_assert(std::is_trivially_copyable_v<SegmentHeader>);
 
 class ShmSegment {
  public:
-  struct Config {
-    int dim = 0;
-    std::uint64_t block = 1;
-    std::uint8_t algo = 0;
-    int start_stage = 0;
-    bool checkpoint = false;
-    bool record_events = false;
-    bool with_resume = false;
-    bool check_progress = true, check_feasibility = true;
-    bool check_consistency = true, check_exchange = true;
-    sim::CostModel cost{};
+  struct Config : JobHead {
     double recv_timeout_s = kDefaultRecvTimeoutS;
     double run_deadline_s = kDefaultRunDeadlineS;
   };
 
   // Parent side: create, size and zero-init a fresh segment.  Throws
   // std::runtime_error on any shm/mmap failure and std::invalid_argument on
-  // an out-of-range configuration (dim > kMaxShmDim).
+  // an out-of-range configuration (dim > kMaxProcessDim).
   static ShmSegment create(const Config& cfg);
 
   // Child side (exec mode): open an existing segment by name and validate
@@ -145,15 +92,15 @@ class ShmSegment {
   ~ShmSegment();  // unmaps; the creating side also shm_unlinks
 
   const std::string& name() const { return name_; }
-  int dim() const { return static_cast<int>(header().dim); }
-  cube::NodeId num_nodes() const { return cube::NodeId{1} << header().dim; }
+  int dim() const { return header().job.dim; }
+  cube::NodeId num_nodes() const { return cube::NodeId{1} << header().job.dim; }
 
   SegmentHeader& header() { return *reinterpret_cast<SegmentHeader*>(base_); }
   const SegmentHeader& header() const {
     return *reinterpret_cast<const SegmentHeader*>(base_);
   }
 
-  WireFault& fault(cube::NodeId p);
+  std::span<WireFault> faults();  // one row per node
   NodeSlot& slot(cube::NodeId p);
   std::span<WireLinkEvent> events(cube::NodeId p);  // event_cap entries
   std::span<sim::Key> input();

@@ -2,7 +2,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <thread>
 
 #include "transport/wire.h"
@@ -114,6 +116,34 @@ bool ShmTransport::wait_activity(std::span<const cube::NodeId> peers) {
 
   std::this_thread::sleep_for(kIdleNap);
   return true;
+}
+
+sim::RemoteLink& ShmNodePort::open() {
+  seg_.slot(p_).state.store(static_cast<std::uint32_t>(SlotState::kRunning),
+                            std::memory_order_release);
+  return link_;
+}
+
+void ShmNodePort::publish(const NodeResult& r) {
+  NodeSlot& slot = seg_.slot(p_);
+  slot.stats = r.stats;
+  slot.error_count = static_cast<std::uint32_t>(
+      std::min<std::size_t>(r.errors.size(), kMaxSlotErrors));
+  std::copy_n(r.errors.begin(), slot.error_count, slot.errors);
+  const auto events = seg_.events(p_);
+  slot.event_count = static_cast<std::uint32_t>(
+      std::min(r.events.size(), events.size()));
+  std::copy_n(r.events.begin(), slot.event_count, events.begin());
+  std::snprintf(slot.fail_reason, sizeof slot.fail_reason, "%s",
+                r.fail_reason.c_str());
+  const auto m = static_cast<std::size_t>(job().block);
+  if (r.output.size() == m)
+    std::copy(r.output.begin(), r.output.end(),
+              seg_.output().begin() + static_cast<std::ptrdiff_t>(p_ * m));
+  // The release store comes last, so a terminal slot implies a complete
+  // record and output block.
+  slot.state.store(static_cast<std::uint32_t>(r.state),
+                   std::memory_order_release);
 }
 
 }  // namespace aoft::transport

@@ -52,4 +52,28 @@ class ShmTransport final : public sim::RemoteLink {
   std::chrono::steady_clock::time_point wait_start_{};
 };
 
+// A node process's end of the shm fabric: the job is the segment header,
+// the result is the node's status slot, its link-event region and its
+// output block.
+class ShmNodePort final : public NodePort {
+ public:
+  ShmNodePort(ShmSegment& seg, cube::NodeId p)
+      : seg_(seg), p_(p), link_(seg, static_cast<std::int32_t>(p)) {}
+
+  cube::NodeId node() const override { return p_; }
+  const JobHead& job() const override { return seg_.header().job; }
+  std::span<const WireFault> faults() const override { return seg_.faults(); }
+  std::span<const sim::Key> input() const override { return seg_.input(); }
+  std::span<const sim::Key> llbs() const override {
+    return job().with_resume ? seg_.llbs() : std::span<sim::Key>{};
+  }
+  sim::RemoteLink& open() override;
+  void publish(const NodeResult& r) override;
+
+ private:
+  ShmSegment& seg_;
+  cube::NodeId p_;
+  ShmTransport link_;
+};
+
 }  // namespace aoft::transport

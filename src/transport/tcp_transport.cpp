@@ -5,9 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <signal.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <bit>
@@ -292,10 +290,11 @@ TcpNodeEndpoint::TcpNodeEndpoint(cube::NodeId node,
   std::span<const unsigned char> cur(cfg_payload);
   if (!take(cur, cfg_) ||
       std::memcmp(cfg_.magic, kTcpMagic, sizeof cfg_.magic) != 0 ||
+      cfg_.version != kTcpVersion ||
       cfg_.for_node != static_cast<std::int32_t>(me_) ||
-      cfg_.dim > static_cast<std::uint32_t>(kMaxProcessDim))
+      cfg_.job.dim < 0 || cfg_.job.dim > kMaxProcessDim)
     throw std::runtime_error("tcp: CONFIG head corrupt");
-  dim_ = static_cast<int>(cfg_.dim);
+  dim_ = cfg_.job.dim;
   const cube::NodeId n = cube::NodeId{1} << dim_;
   faults_.resize(n);
   port_map_.resize(n);
@@ -303,14 +302,14 @@ TcpNodeEndpoint::TcpNodeEndpoint(cube::NodeId node,
     if (!take(cur, f)) throw std::runtime_error("tcp: CONFIG faults corrupt");
   for (auto& e : port_map_)
     if (!take(cur, e)) throw std::runtime_error("tcp: CONFIG ports corrupt");
-  const std::size_t keys = static_cast<std::size_t>(n) * cfg_.block;
+  const std::size_t keys = static_cast<std::size_t>(n) * cfg_.job.block;
   const std::size_t want =
-      keys * sizeof(sim::Key) * (cfg_.with_resume ? 2 : 1);
+      keys * sizeof(sim::Key) * (cfg_.job.with_resume ? 2 : 1);
   if (cur.size() != want)
     throw std::runtime_error("tcp: CONFIG key payload corrupt");
   input_.resize(keys);
   std::memcpy(input_.data(), cur.data(), keys * sizeof(sim::Key));
-  if (cfg_.with_resume) {
+  if (cfg_.job.with_resume) {
     llbs_.resize(keys);
     std::memcpy(llbs_.data(), cur.data() + keys * sizeof(sim::Key),
                 keys * sizeof(sim::Key));
@@ -326,7 +325,7 @@ TcpConn& TcpNodeEndpoint::neighbor(cube::NodeId q) {
   return peers_[static_cast<std::size_t>(std::countr_zero(me_ ^ q))];
 }
 
-void TcpNodeEndpoint::connect_peers() {
+sim::RemoteLink& TcpNodeEndpoint::open() {
   const auto now = Clock::now();
   int expect_accept = 0;
   for (int k = 0; k < dim_; ++k) {
@@ -386,6 +385,7 @@ void TcpNodeEndpoint::connect_peers() {
     parent_.queue_frame(FrameType::kHeartbeat, {});
     for (auto& c : peers_) c.queue_frame(FrameType::kHeartbeat, {});
   }
+  return *this;
 }
 
 void TcpNodeEndpoint::send_node(cube::NodeId from, cube::NodeId to,
@@ -504,25 +504,25 @@ bool TcpNodeEndpoint::wait_activity(std::span<const cube::NodeId> peers) {
   return true;
 }
 
-void TcpNodeEndpoint::finish(SlotState state, const FinishHead& head,
-                             std::span<const WireError> errors,
-                             std::span<const WireLinkEvent> events,
-                             std::span<const sim::Key> output) {
-  std::vector<unsigned char> payload;
-  FinishHead h = head;
+void TcpNodeEndpoint::publish(const NodeResult& r) {
+  FinishHead h;
   h.node = static_cast<std::int32_t>(me_);
-  h.state = static_cast<std::uint32_t>(state);
-  h.error_count = static_cast<std::uint32_t>(errors.size());
-  h.event_count = static_cast<std::uint32_t>(events.size());
-  h.out_count = static_cast<std::uint32_t>(output.size());
+  h.state = static_cast<std::uint32_t>(r.state);
+  h.stats = r.stats;
+  h.error_count = static_cast<std::uint32_t>(r.errors.size());
+  h.event_count = static_cast<std::uint32_t>(r.events.size());
+  h.out_count = static_cast<std::uint32_t>(r.output.size());
+  std::snprintf(h.fail_reason, sizeof h.fail_reason, "%s",
+                r.fail_reason.c_str());
+  std::vector<unsigned char> payload;
   const auto append = [&payload](const void* p, std::size_t n) {
     const auto* b = static_cast<const unsigned char*>(p);
     payload.insert(payload.end(), b, b + n);
   };
   append(&h, sizeof h);
-  append(errors.data(), errors.size_bytes());
-  append(events.data(), events.size_bytes());
-  append(output.data(), output.size_bytes());
+  append(r.errors.data(), r.errors.size() * sizeof(WireError));
+  append(r.events.data(), r.events.size() * sizeof(WireLinkEvent));
+  append(r.output.data(), r.output.size() * sizeof(sim::Key));
   parent_.queue_frame(FrameType::kFinish, payload);
 
   // Flush everything still buffered (final exchange traffic included) before
@@ -548,7 +548,7 @@ TcpHostEndpoint::TcpHostEndpoint(int dim, const TcpOptions& opts)
       listener_(opts.listen_addr, opts.port),
       conns_(n_),
       port_map_(n_),
-      slots_(n_),
+      results_(n_),
       watch_(static_cast<int>(n_), opts.heartbeat_loss_s) {
   scratch_.reserve(4096);
 }
@@ -598,21 +598,24 @@ void TcpHostEndpoint::rendezvous(double setup_timeout_s) {
   }
 }
 
-void TcpHostEndpoint::broadcast_config(TcpConfigHead head,
+void TcpHostEndpoint::broadcast_config(const JobHead& job,
                                        std::span<const WireFault> faults,
                                        std::span<const sim::Key> input,
                                        std::span<const sim::Key> llbs) {
+  TcpConfigHead head;
   std::memcpy(head.magic, kTcpMagic, sizeof head.magic);
-  head.dim = static_cast<std::uint32_t>(dim_);
+  head.job = job;
+  head.job.dim = dim_;
+  if (!job.with_resume) llbs = {};
   head.recv_timeout_s = opts_.recv_timeout_s;
   head.heartbeat_interval_s = opts_.heartbeat_interval_s;
   // Grow the silence bound with the block (the longest compute burst a node
   // performs without touching its sockets) and hold the host's own watchdog
   // to the same scaled value the nodes will sweep with.
   head.heartbeat_loss_s = scaled_heartbeat_loss(opts_.heartbeat_loss_s,
-                                                head.block);
+                                                job.block);
   watch_.set_loss(head.heartbeat_loss_s);
-  // Same bound the drivers checked before spawning; re-checked here so no
+  // Same bound the fleet checked before spawning; re-checked here so no
   // caller can push an unframeable CONFIG into append_frame's truncation
   // guard with a less helpful message.
   const std::size_t config_bytes = sizeof head + faults.size_bytes() +
@@ -648,25 +651,26 @@ void TcpHostEndpoint::handle_frame(cube::NodeId p, const Frame& f) {
     case FrameType::kHeartbeat:
       return;  // bytes already refreshed last_rx
     case FrameType::kFinish: {
-      TcpSlot& s = slots_[p];
+      FinishHead h;
       auto cur = f.payload;
-      if (!take(cur, s.head) ||
-          s.head.node != static_cast<std::int32_t>(p) ||
-          cur.size() != s.head.error_count * sizeof(WireError) +
-                            s.head.event_count * sizeof(WireLinkEvent) +
-                            s.head.out_count * sizeof(sim::Key))
+      if (!take(cur, h) || h.node != static_cast<std::int32_t>(p) ||
+          cur.size() != h.error_count * sizeof(WireError) +
+                            h.event_count * sizeof(WireLinkEvent) +
+                            h.out_count * sizeof(sim::Key))
         throw std::runtime_error("tcp: finish frame corrupt");
-      s.errors.resize(s.head.error_count);
-      for (auto& e : s.errors) take(cur, e);
-      s.events.resize(s.head.event_count);
-      for (auto& e : s.events) take(cur, e);
-      s.output.resize(s.head.out_count);
-      if (s.head.out_count) {
-        std::memcpy(s.output.data(), cur.data(),
-                    s.head.out_count * sizeof(sim::Key));
-      }
-      s.state = static_cast<SlotState>(s.head.state);
-      watch_.mark_finished(static_cast<int>(p), s.state);
+      NodeResult& r = results_[p];
+      r.state = static_cast<SlotState>(h.state);
+      r.stats = h.stats;
+      r.errors.resize(h.error_count);
+      for (auto& e : r.errors) take(cur, e);
+      r.events.resize(h.event_count);
+      for (auto& e : r.events) take(cur, e);
+      r.output.resize(h.out_count);
+      if (h.out_count)
+        std::memcpy(r.output.data(), cur.data(), h.out_count * sizeof(sim::Key));
+      h.fail_reason[sizeof h.fail_reason - 1] = '\0';
+      r.fail_reason = h.fail_reason;
+      watch_.mark_finished(static_cast<int>(p), r.state);
       return;
     }
     default:
@@ -693,11 +697,11 @@ bool TcpHostEndpoint::service() {
     }
   }
   watch_.sweep(now);
-  // Mirror the sweep into the result slots so collectors see kDead for
-  // wedged peers that never EOF'd.
+  // Mirror the sweep into the results so collectors see kDead for wedged
+  // peers that never EOF'd.
   for (cube::NodeId p = 0; p < n_; ++p)
-    if (!slot_terminal(slots_[p].state))
-      slots_[p].state = watch_.state(static_cast<int>(p));
+    if (!slot_terminal(results_[p].state))
+      results_[p].state = watch_.state(static_cast<int>(p));
   return was_empty && !inbox_.empty();
 }
 
@@ -766,87 +770,6 @@ void TcpHostEndpoint::send_host(cube::NodeId, const sim::Message&) {
 void TcpHostEndpoint::send_from_host(cube::NodeId to, const sim::Message& m) {
   encode_message(m, scratch_);
   conns_[to].queue_frame(FrameType::kData, scratch_);
-}
-
-// ---- TcpParent --------------------------------------------------------------
-
-TcpParent::TcpParent(int dim, double run_deadline_s)
-    : pids_(cube::NodeId{1} << dim, 0),
-      reaped_(cube::NodeId{1} << dim, true),
-      start_(Clock::now()),
-      deadline_s_(run_deadline_s) {}
-
-void TcpParent::spawn_fork(const std::function<int(cube::NodeId)>& child_main,
-                           const std::vector<std::optional<HostPin>>& pins) {
-  for (cube::NodeId p = 0; p < pids_.size(); ++p) {
-    if (p < pins.size() && pins[p]) continue;  // external node
-    const pid_t pid = ::fork();
-    if (pid < 0) die("fork");
-    if (pid == 0) _exit(child_main(p));
-    pids_[p] = pid;
-    reaped_[p] = false;
-  }
-}
-
-void TcpParent::spawn_exec(const std::string& binary,
-                           const std::string& parent_addr,
-                           std::uint16_t parent_port,
-                           const std::vector<std::optional<HostPin>>& pins) {
-  const std::string connect_arg =
-      "--connect=" + parent_addr + ":" + std::to_string(parent_port);
-  for (cube::NodeId p = 0; p < pids_.size(); ++p) {
-    if (p < pins.size() && pins[p]) continue;
-    const std::string node_arg = "--node=" + std::to_string(p);
-    const pid_t pid = ::fork();
-    if (pid < 0) die("fork");
-    if (pid == 0) {
-      ::execl(binary.c_str(), binary.c_str(), connect_arg.c_str(),
-              node_arg.c_str(), static_cast<char*>(nullptr));
-      _exit(127);
-    }
-    pids_[p] = pid;
-    reaped_[p] = false;
-  }
-}
-
-void TcpParent::poll() {
-  for (std::size_t p = 0; p < pids_.size(); ++p) {
-    if (reaped_[p]) continue;
-    int status = 0;
-    if (::waitpid(pids_[p], &status, WNOHANG) == pids_[p]) reaped_[p] = true;
-  }
-  if (!killed_) {
-    const double elapsed =
-        std::chrono::duration<double>(Clock::now() - start_).count();
-    if (elapsed > deadline_s_) kill_all();
-  }
-}
-
-void TcpParent::kill_all() {
-  killed_ = true;
-  for (std::size_t p = 0; p < pids_.size(); ++p)
-    if (!reaped_[p]) ::kill(pids_[p], SIGKILL);
-  for (std::size_t p = 0; p < pids_.size(); ++p) {
-    if (reaped_[p]) continue;
-    int status = 0;
-    if (::waitpid(pids_[p], &status, 0) == pids_[p]) reaped_[p] = true;
-  }
-}
-
-void TcpParent::await_exits() {
-  // Verdicts are already in (the host link saw every node terminal); give
-  // well-behaved children a moment to _exit, then SIGKILL stragglers — a
-  // wedged (SIGSTOPped) child never exits on its own.
-  const auto grace = Clock::now() + std::chrono::milliseconds(500);
-  for (;;) {
-    poll();
-    bool all = true;
-    for (std::size_t p = 0; p < pids_.size(); ++p) all = all && reaped_[p];
-    if (all) return;
-    if (Clock::now() >= grace) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  kill_all();
 }
 
 }  // namespace aoft::transport

@@ -31,6 +31,7 @@
 
 #include "sim/remote.h"
 #include "transport/backend.h"
+#include "transport/fleet.h"
 #include "transport/frame.h"
 #include "transport/peer_watch.h"
 
@@ -132,44 +133,30 @@ std::vector<std::optional<HostPin>> parse_hosts_file(const std::string& path,
 
 // ---- node endpoint ----------------------------------------------------------
 
-// Result of one node's run, as published by its FINISH frame.  Mirrors
-// NodeSlot so the sort layer assembles SortRun identically on both
-// multi-process backends.
-struct TcpSlot {
-  SlotState state = SlotState::kIdle;
-  FinishHead head{};
-  std::vector<WireError> errors;
-  std::vector<WireLinkEvent> events;
-  std::vector<sim::Key> output;
-};
-
-class TcpNodeEndpoint final : public sim::RemoteLink {
+// A node process's end of the socket fabric: its NodePort and the
+// RemoteLink its machine runs over.
+class TcpNodeEndpoint final : public sim::RemoteLink, public NodePort {
  public:
   // Dials the parent, HELLOs, and blocks until the CONFIG broadcast arrives
-  // (bounded by setup_timeout_s).  After construction config()/faults()/
-  // input()/llbs()/port_map() are valid.  Throws std::runtime_error on any
+  // (bounded by setup_timeout_s).  After construction the job, faults,
+  // input, llbs and port map are valid.  Throws std::runtime_error on any
   // setup failure.
   TcpNodeEndpoint(cube::NodeId node, const std::string& parent_addr,
                   std::uint16_t parent_port, const std::string& listen_addr,
                   std::uint16_t listen_port, double setup_timeout_s);
   ~TcpNodeEndpoint() override;
 
-  const TcpConfigHead& config() const { return cfg_; }
-  const std::vector<WireFault>& faults() const { return faults_; }
-  const std::vector<sim::Key>& input() const { return input_; }
-  const std::vector<sim::Key>& llbs() const { return llbs_; }
-
-  // Build the peer mesh from the port map: dial lower neighbors, accept
-  // higher ones, then drop the listen socket.  Must complete before the
-  // machine runs; throws on timeout.
-  void connect_peers();
-
-  // Publish the terminal FINISH frame (flushing all buffered peer traffic
-  // first) and close every connection.
-  void finish(SlotState state, const FinishHead& head,
-              std::span<const WireError> errors,
-              std::span<const WireLinkEvent> events,
-              std::span<const sim::Key> output);
+  // NodePort.  open() builds the peer mesh from the port map: dial lower
+  // neighbors, accept higher ones, then drop the listen socket; throws on
+  // timeout.  publish() sends the FINISH frame (flushing all buffered peer
+  // traffic first) and closes every connection.
+  cube::NodeId node() const override { return me_; }
+  const JobHead& job() const override { return cfg_.job; }
+  std::span<const WireFault> faults() const override { return faults_; }
+  std::span<const sim::Key> input() const override { return input_; }
+  std::span<const sim::Key> llbs() const override { return llbs_; }
+  sim::RemoteLink& open() override;
+  void publish(const NodeResult& r) override;
 
   // sim::RemoteLink
   void send_node(cube::NodeId from, cube::NodeId to,
@@ -228,10 +215,9 @@ class TcpHostEndpoint final : public sim::RemoteLink {
   // setup_timeout_s; throws on expiry).  Builds the authoritative port map.
   void rendezvous(double setup_timeout_s);
 
-  // Send each node its CONFIG: `head` plus faults/port-map/input/llbs tail
-  // (for_node is stamped per recipient here).
-  void broadcast_config(TcpConfigHead head,
-                        std::span<const WireFault> faults,
+  // Send each node its CONFIG: the job plus faults/port-map/input/llbs tail
+  // (llbs only when job.with_resume).
+  void broadcast_config(const JobHead& job, std::span<const WireFault> faults,
                         std::span<const sim::Key> input,
                         std::span<const sim::Key> llbs);
 
@@ -240,7 +226,8 @@ class TcpHostEndpoint final : public sim::RemoteLink {
   // Machine whose idle hook pumps this link).
   void await_all();
 
-  TcpSlot& slot(cube::NodeId p) { return slots_[p]; }
+  // Node p's FINISH record; state kDead once the watchdog retired it.
+  const NodeResult& result(cube::NodeId p) const { return results_[p]; }
   SlotState peer_state(cube::NodeId p) const {
     return watch_.state(static_cast<int>(p));
   }
@@ -270,7 +257,7 @@ class TcpHostEndpoint final : public sim::RemoteLink {
   std::vector<TcpConn> conns_;        // indexed by node, valid after rendezvous
   std::vector<TcpConn> anonymous_;    // accepted, HELLO not yet seen
   std::vector<WirePortEntry> port_map_;
-  std::vector<TcpSlot> slots_;
+  std::vector<NodeResult> results_;
   PeerWatch watch_;  // indexed by node
   std::deque<Pending> inbox_;
   std::vector<unsigned char> scratch_;
@@ -278,44 +265,6 @@ class TcpHostEndpoint final : public sim::RemoteLink {
 
   bool waiting_ = false;
   std::chrono::steady_clock::time_point wait_start_{};
-};
-
-// ---- local process fleet ----------------------------------------------------
-
-// Child-process lifecycle for locally spawned tcp nodes.  Unlike ShmParent,
-// this is NOT the death-detection authority — sockets are (EOF/heartbeat in
-// the endpoints above).  waitpid here only reaps zombies and enforces the
-// run deadline; await_exits SIGKILLs stragglers (a wedged child never exits
-// on its own) once the host link has its verdicts.
-class TcpParent {
- public:
-  TcpParent(int dim, double run_deadline_s);
-
-  // Fork one child per non-pinned node; each runs child_main(p) and _exits
-  // with its return value.
-  void spawn_fork(const std::function<int(cube::NodeId)>& child_main,
-                  const std::vector<std::optional<HostPin>>& pins);
-
-  // Fork+exec `binary --connect=<addr>:<port> --node=<p>` per non-pinned
-  // node (tools/aoft_node is the standard launcher).
-  void spawn_exec(const std::string& binary, const std::string& parent_addr,
-                  std::uint16_t parent_port,
-                  const std::vector<std::optional<HostPin>>& pins);
-
-  // Reap zombies without blocking; SIGKILL the fleet once the run deadline
-  // expires.  Safe to call repeatedly.
-  void poll();
-
-  // SIGKILL every still-live child, then reap them all.
-  void kill_all();
-  void await_exits();
-
- private:
-  std::vector<std::int32_t> pids_;
-  std::vector<bool> reaped_;
-  std::chrono::steady_clock::time_point start_;
-  double deadline_s_;
-  bool killed_ = false;
 };
 
 }  // namespace aoft::transport

@@ -9,7 +9,7 @@
 #include "aoft/labeling.h"
 #include "analysis/fit.h"
 #include "fault/adversary.h"
-#include "fault/recovery.h"
+#include "fault/supervisor.h"
 #include "sort/sequential.h"
 #include "util/rng.h"
 
@@ -56,18 +56,17 @@ TEST(EdgeCoverageTest, RecoveryAcrossDifferentTransientFaults) {
   fault::Adversary first, second;
   first.add(fault::drop_message(2, {1, 1}));
   second.add(fault::drop_message(12, {2, 0}));
-  const auto run = fault::run_sft_with_recovery(
-      4, input, {},
+  const auto run = fault::run_supervised_sort(
+      4, input, {}, fault::RecoveryPolicy::full_restart(3),
       [&](int attempt) -> sim::LinkInterceptor* {
         if (attempt == 0) return &first;
         if (attempt == 1) return &second;
         return nullptr;
-      },
-      3);
+      });
   EXPECT_EQ(run.attempts, 3);
   EXPECT_TRUE(run.recovered);
   ASSERT_EQ(run.diagnoses.size(), 2u);
-  EXPECT_TRUE(fault::persistent_suspects(run).empty());
+  EXPECT_TRUE(fault::persistent_suspects(run.diagnoses).empty());
 }
 
 TEST(EdgeCoverageTest, LabelingDecisionsPickArgmax) {

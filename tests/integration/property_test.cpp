@@ -68,10 +68,16 @@ INSTANTIATE_TEST_SUITE_P(Grid, SftSweepTest, ::testing::ValuesIn(sweep_params())
 
 // ---- Theorem 3 sweep --------------------------------------------------------
 
+// gtest lists a parameter without a printer by its raw bytes, and the listed
+// text becomes part of the ctest name. The padding after `fclass` is therefore
+// an explicit zeroed member: left implicit, it carried heap garbage and the
+// corrupt_data cases got a different name on every run.
 struct FaultParam {
   fault::FaultClass fclass;
+  std::uint8_t zero_pad[7] = {};
   std::uint64_t seed;
 };
+static_assert(sizeof(FaultParam) == 16);
 
 class Theorem3Test : public ::testing::TestWithParam<FaultParam> {};
 
@@ -95,7 +101,7 @@ std::vector<FaultParam> theorem3_params() {
   std::vector<FaultParam> params;
   for (auto fclass : fault::kAllFaultClasses)
     for (std::uint64_t seed : {11ULL, 22ULL, 33ULL})
-      params.push_back({fclass, seed});
+      params.push_back({.fclass = fclass, .seed = seed});
   return params;
 }
 

@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
-#include "sort/shm_detail.h"
+#include "sort/fleet.h"
 #include "transport/wire.h"
 
 namespace aoft::transport {
@@ -23,7 +24,7 @@ TEST(ShmSegment, CreatePopulatesHeaderAndRegions) {
   const auto& hd = seg.header();
   EXPECT_EQ(seg.dim(), 3);
   EXPECT_EQ(seg.num_nodes(), 8u);
-  EXPECT_EQ(hd.block, 4u);
+  EXPECT_EQ(hd.job.block, 4u);
   EXPECT_EQ(hd.version, kSegmentVersion);
   EXPECT_EQ(seg.input().size(), 32u);
   EXPECT_EQ(seg.llbs().size(), 32u);
@@ -66,9 +67,9 @@ TEST(ShmSegment, RingsAreDistinctAndSizedForWholeRunTraffic) {
   // A directed link carries at most dim+1 full-size messages per run: the
   // ring must hold that many maximal records without ever rejecting.
   const auto& hd = seg.header();
-  const std::uint64_t keys = seg.num_nodes() * hd.block;
+  const std::uint64_t keys = seg.num_nodes() * hd.job.block;
   const std::uint64_t max_payload =
-      sizeof(WireMsgHdr) + (2 * hd.block + keys) * sizeof(sim::Key);
+      sizeof(WireMsgHdr) + (2 * hd.job.block + keys) * sizeof(sim::Key);
   auto ring = seg.link_ring(0, 0);
   std::vector<unsigned char> rec(max_payload, 0x5A);
   for (int i = 0; i < seg.dim() + 1; ++i)
@@ -97,7 +98,7 @@ TEST(ShmSegment, AttachRejectsUnknownName) {
 
 TEST(ShmSegment, CreateRejectsOversizedCube) {
   ShmSegment::Config cfg;
-  cfg.dim = kMaxShmDim + 1;
+  cfg.dim = kMaxProcessDim + 1;
   EXPECT_THROW(ShmSegment::create(cfg), std::invalid_argument);
 }
 
@@ -117,8 +118,9 @@ TEST(ShmSegment, FaultScriptsRoundTripThroughWireForm) {
   invert.invert_direction_from = fault::StagePoint{0, 0};
   faults[7] = invert;
 
-  sort::shm_detail::fill_wire_faults(seg, faults);
-  const auto back = sort::shm_detail::faults_from_segment(seg);
+  const auto rows = sort::wire_faults(faults, seg.num_nodes());
+  std::copy(rows.begin(), rows.end(), seg.faults().begin());
+  const auto back = sort::faults_from_wire(seg.faults());
   ASSERT_EQ(back.size(), 3u);
   ASSERT_TRUE(back.at(2).halt_at.has_value());
   EXPECT_EQ(back.at(2).halt_at->stage, 1);

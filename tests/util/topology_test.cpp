@@ -1,6 +1,7 @@
 #include "util/topology.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -115,7 +116,10 @@ TEST(HostTopologyTest, NodeOfAndHasCpu) {
 class SysfsFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = fs::path(::testing::TempDir()) / "aoft_topology_fixture";
+    // Unique per process and test: ctest runs tests as parallel processes.
+    root_ = fs::path(::testing::TempDir()) /
+            ("aoft_topology_fixture_" + std::to_string(getpid()) + "_" +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(root_);
     write_node(0, "0-1");
     write_node(1, "2-3");

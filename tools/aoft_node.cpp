@@ -6,8 +6,8 @@
 // Shm mode: the parent (aoft_sort_cli --transport=shm --node-bin=..., or any
 // caller setting ShmOptions::node_binary) creates the segment and exec's one
 // of these per hypercube node.  The launcher re-opens the segment by name and
-// reconstructs the node program's options from the segment header — exec'd
-// children inherit nothing.
+// reconstructs the node program's options from the job in the segment
+// header — exec'd children inherit nothing.
 //
 // Tcp mode: --connect names the parent's rendezvous socket.  The launcher
 // binds its own listen socket (--listen, default 127.0.0.1 ephemeral), HELLOs
@@ -17,8 +17,9 @@
 // other machines via --hosts: start it by hand there, pointing --connect at
 // the driving host.
 //
-// Either way it then runs exactly the node body a forked child would
-// (sort/sft.cpp, sort/snr.cpp).  Exit status: 0 = result published (kDone,
+// Either way it then hands its transport::NodePort to sort::run_node, which
+// runs exactly the node body a forked child would (sort/fleet.h).  Exit
+// status: 0 = result published (kDone,
 // or a protocol-detected fail-stop), 1 = harness failure (kFailed, reason in
 // the slot/FINISH), 2 = usage/attach/rendezvous error before the run began.
 
@@ -27,9 +28,8 @@
 #include <exception>
 #include <string>
 
-#include "sort/sft.h"
-#include "sort/snr.h"
-#include "transport/shm_segment.h"
+#include "sort/fleet.h"
+#include "transport/shm_transport.h"
 #include "transport/tcp_transport.h"
 #include "util/flags.h"
 
@@ -74,13 +74,12 @@ int run_tcp(const char* connect, long long node, const char* listen,
   aoft::transport::TcpNodeEndpoint ep(p, parent_addr, parent_port, listen_addr,
                                       listen_port,
                                       aoft::transport::kDefaultRunDeadlineS);
-  if (node >= (1LL << ep.config().dim)) {
+  if (node >= (1LL << ep.job().dim)) {
     std::fprintf(stderr, "%s: node %lld outside the dim-%d cube\n", argv0,
-                 node, ep.config().dim);
+                 node, ep.job().dim);
     return 2;
   }
-  return ep.config().algo == 0 ? aoft::sort::detail::run_sft_tcp_node(ep, p)
-                               : aoft::sort::detail::run_snr_tcp_node(ep, p);
+  return aoft::sort::run_node(ep);
 }
 
 }  // namespace
@@ -109,9 +108,9 @@ int main(int argc, char** argv) {
                    node, seg.num_nodes());
       return 2;
     }
-    const auto p = static_cast<aoft::cube::NodeId>(node);
-    return seg.header().algo == 0 ? aoft::sort::detail::run_sft_shm_node(seg, p)
-                                  : aoft::sort::detail::run_snr_shm_node(seg, p);
+    aoft::transport::ShmNodePort port(seg,
+                                      static_cast<aoft::cube::NodeId>(node));
+    return aoft::sort::run_node(port);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
     return 2;
