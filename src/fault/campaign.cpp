@@ -1,13 +1,16 @@
 #include "fault/campaign.h"
 
 #include <algorithm>
-#include <cassert>
 #include <functional>
 #include <iterator>
 #include <memory>
 #include <mutex>
 #include <numeric>
 #include <optional>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "fault/campaign_store.h"
 #include "obs/metrics.h"
@@ -23,17 +26,41 @@ namespace aoft::fault {
 
 namespace {
 
-// Campaigns read adversary.touched() after every attempt to drive the redraw
-// loop; under the shm backend the interceptor fires inside a forked child, so
-// the counter this process reads would always be zero and every slot would be
-// "unexercised".  Refuse loudly instead of sweeping nothing.
-void require_sim_backend(const CampaignConfig& cfg) {
+// k simultaneous faults sit on k distinct nodes, so k may not exceed the
+// cube's 2^dim nodes: draw_multi_scenario would search for a free node
+// forever.
+void check_fault_count(int k, int dim) {
+  if (k > 0 && static_cast<std::uint64_t>(k) > (std::uint64_t{1} << dim))
+    throw std::invalid_argument(
+        "k = " + std::to_string(k) +
+        " simultaneous faults need k distinct nodes, but a dim-" +
+        std::to_string(dim) + " cube has only " +
+        std::to_string(std::uint64_t{1} << dim));
+}
+
+// The one entry check of run_campaign, run_multi_campaign (soak == false)
+// and run_soak_campaign (soak == true).  Campaigns read adversary.touched()
+// after every attempt to drive the redraw loop; under the shm backend the
+// interceptor fires inside a forked child, so the counter this process reads
+// would always be zero and every slot would be "unexercised".  Each entry
+// point also runs exactly one kind of injection, so a mismatched mode would
+// silently sweep a campaign nobody asked for.  Refuse both loudly.
+void check_entry(const CampaignConfig& cfg, bool soak, int max_k = 0) {
   if (cfg.backend != transport::Backend::kSim)
     throw std::invalid_argument(
         "fault campaigns require the in-process sim backend (got \"" +
         std::string(transport::to_string(cfg.backend)) +
         "\"): injection-exercised accounting lives in the worker's address "
         "space");
+  if (soak != (cfg.injection.mode != InjectionMode::kScripted))
+    throw std::invalid_argument(
+        soak ? std::string("soak campaigns need a probabilistic injection "
+                           "mode (independent:P or runlength:K), got scripted")
+             : "scripted and multi-fault campaigns need injection mode "
+               "scripted, got \"" +
+                   std::string(to_string(cfg.injection.mode)) +
+                   "\"; probabilistic modes run as soak campaigns");
+  check_fault_count(max_k, cfg.dim);
 }
 
 }  // namespace
@@ -195,88 +222,45 @@ bool applies_to_snr(FaultClass c) {
   }
 }
 
-ScenarioResult finish_result(const Scenario& s, const sort::SortRun& run,
-                             std::span<const sim::Key> input, bool exercised,
-                             std::uint64_t fired) {
-  ScenarioResult r;
-  r.scenario = s;
-  r.outcome = sort::classify(run, input);
-  r.fault_exercised = exercised;
-  r.faults_fired = fired;
-  if (!run.errors.empty()) {
-    r.first_detector = run.errors.front().source;
-    r.detection_stage = run.errors.front().stage;
-  }
-  return r;
-}
-
 // ---- slot engine ------------------------------------------------------------
 //
-// One slot = one requested exercised run.  All randomness for (stream, slot,
-// attempt) comes from util::derive_seed, so slots are independent pure
-// functions of the campaign seed: phase 1 pre-draws attempt-0 scenarios
-// serially (cheap, and keeps draw_scenario's contract single-threaded),
-// phase 2 executes slots across the pool (redraws derive later attempt
-// sub-seeds in-worker), and aggregation walks slots in order.
+// One slot = one requested exercised run, and every campaign — scripted,
+// multi-fault and soak — is a list of global slots fed to run_slots.  Attempt
+// a of a slot draws from a fresh Rng seeded with util::derive_seed(cfg.seed,
+// stream, index, a), a pure function of the campaign seed, so the worker
+// running the slot draws it itself.  A slot redraws while its injection goes
+// unexercised, up to kMaxSlotAttempts, then commits its SlotRecord; its
+// private trace and metrics merge into the campaign's in slot order once the
+// pool drains.
 
 // Seed streams: single-fault classes use their enum value, multi-fault
-// campaigns use a disjoint range keyed by k.
+// campaigns a disjoint range keyed by k, soak campaigns one keyed by mode.
 std::uint64_t class_stream(FaultClass c) {
   return static_cast<std::uint64_t>(c);
 }
 std::uint64_t multi_stream(int k) {
   return 0x100u + static_cast<std::uint64_t>(k);
 }
+std::uint64_t soak_stream(InjectionMode mode) {
+  return 0x200u + static_cast<std::uint64_t>(mode);
+}
 
-struct SlotOutcome {
-  std::optional<ScenarioResult> sft;  // engaged iff some attempt exercised
-  int attempts = 0;                   // scenario executions consumed
-  bool snr_counted = false;
-  sort::Outcome snr_outcome{};
-  // Per-slot observability collection (merged in slot order by phase 3).
-  obs::Tracer trace;
-  obs::MetricsRegistry metrics;
+// Where a slot's attempt draws come from, and how its kScenario events name
+// it.
+struct SlotKey {
+  std::uint64_t stream = 0;  // derive_seed stream
+  std::uint64_t index = 0;   // derive_seed index and the event's slot argument
+  std::string label;         // the event's detail
 };
 
-Scenario draw_slot_attempt(FaultClass fclass, const CampaignConfig& cfg,
-                           std::size_t slot, int attempt) {
-  util::Rng rng(
-      util::derive_seed(cfg.seed, class_stream(fclass), slot,
-                        static_cast<std::uint64_t>(attempt)));
-  return draw_scenario(fclass, cfg, rng);
-}
-
-SlotOutcome run_slot(FaultClass fclass, const CampaignConfig& cfg,
-                     std::size_t slot, const Scenario& first_draw) {
-  SlotOutcome out;
-  // Bind this slot's private sinks to the executing worker thread (and shadow
-  // any ambient sink, so inline jobs == 1 runs collect identically).
-  obs::ScopedSink bind(cfg.tracer != nullptr ? &out.trace : nullptr,
-                       cfg.metrics != nullptr ? &out.metrics : nullptr);
-  for (int attempt = 0; attempt < kMaxSlotAttempts; ++attempt) {
-    const Scenario s = attempt == 0
-                           ? first_draw
-                           : draw_slot_attempt(fclass, cfg, slot, attempt);
-    ++out.attempts;
-    if (auto* tr = obs::tracer())
-      tr->instant(obs::Ev::kScenario, obs::kGlobal, -1, -1, 0.0,
-                  static_cast<std::int64_t>(slot), attempt,
-                  to_string(fclass));
-    if (auto* me = obs::metrics()) me->inc(obs::Counter::kScenarios);
-    auto r = run_scenario_sft(s, cfg);
-    if (!r.fault_exercised) continue;  // injection point never reached
-    out.sft = std::move(r);
-    if (applies_to_snr(fclass)) {
-      const auto b = run_scenario_snr(s, cfg);
-      if (b.fault_exercised) {
-        out.snr_counted = true;
-        out.snr_outcome = b.outcome;
-      }
-    }
-    break;
-  }
-  return out;
-}
+// What a campaign runs in its slots.
+struct SlotKind {
+  std::function<SlotKey(std::uint64_t g)> key;
+  // One attempt of global slot g drawn from `rng`: the slot's record once
+  // its injection fired, nullopt to redraw.
+  std::function<std::optional<SlotRecord>(std::uint64_t g, util::Rng& rng)>
+      attempt;
+};
 
 // One simulated Machine per worker thread, rebuilt only when the cube
 // dimension changes and reset() between scenarios (the sort resets it with
@@ -295,6 +279,77 @@ sim::Machine* lease_machine(int dim, bool reuse) {
     machine_dim = dim;
   }
   return machine.get();
+}
+
+// The sort options every campaign run is built from: cfg's predicate
+// switches (S_FT only), the faults to inject and the worker's leased machine.
+template <class Options>
+Options options_from(const CampaignConfig& cfg, int dim, std::size_t block,
+                     sim::LinkInterceptor* interceptor,
+                     NodeFaultMap node_faults = {}) {
+  Options opts;
+  opts.block = block;
+  if constexpr (std::is_same_v<Options, sort::SftOptions>) {
+    opts.check_progress = cfg.check_progress;
+    opts.check_feasibility = cfg.check_feasibility;
+    opts.check_consistency = cfg.check_consistency;
+    opts.check_exchange = cfg.check_exchange;
+  }
+  opts.interceptor = interceptor;
+  opts.node_faults = std::move(node_faults);
+  opts.machine = lease_machine(dim, cfg.reuse_machines);
+  return opts;
+}
+
+// Run S_FT (sft) or S_NR with every fault of `faults` injected at once; a
+// single scenario is a set of one.  The faults share the first one's input,
+// cube and block (draw_multi_scenario aligns them).  Fired counts the
+// adversary's touches plus the node faults, so the run exercised its faults
+// iff it fired at all.
+ScenarioResult run_fault_set(std::span<const Scenario> faults,
+                             const CampaignConfig& cfg, bool sft) {
+  const Scenario& first = faults.front();
+  const auto input = util::random_keys(
+      first.input_seed, (std::size_t{1} << first.dim) * first.block);
+  Adversary adversary;
+  NodeFaultMap node_faults;
+  bool any_link = false;
+  for (const Scenario& s : faults) {
+    instantiate(s, adversary, node_faults);
+    any_link |= is_link_class(s.fclass);
+  }
+  const std::uint64_t node_fault_count = node_faults.size();
+  sim::LinkInterceptor* interceptor = any_link ? &adversary : nullptr;
+  const sort::SortRun run =
+      sft ? sort::run_sft(first.dim, input,
+                          options_from<sort::SftOptions>(
+                              cfg, first.dim, first.block, interceptor,
+                              std::move(node_faults)))
+          : sort::run_snr(first.dim, input,
+                          options_from<sort::SnrOptions>(
+                              cfg, first.dim, first.block, interceptor,
+                              std::move(node_faults)));
+  ScenarioResult r;
+  r.scenario = first;
+  r.outcome = sort::classify(run, input);
+  r.faults_fired = adversary.touched() + node_fault_count;
+  r.fault_exercised = r.faults_fired > 0;
+  if (!run.errors.empty()) {
+    r.first_detector = run.errors.front().source;
+    r.detection_stage = run.errors.front().stage;
+  }
+  return r;
+}
+
+SlotRecord record_of(const ScenarioResult& r, std::uint32_t faulty_nodes) {
+  SlotRecord rec;
+  rec.scenario = r.scenario;
+  rec.outcome = r.outcome;
+  rec.first_detector = r.first_detector;
+  rec.detection_stage = r.detection_stage;
+  rec.faults_fired = r.faults_fired;
+  rec.faulty_nodes = faulty_nodes;
+  return rec;
 }
 
 // Run body(i) for i in [0, count): inline when jobs == 1, across a pool
@@ -331,16 +386,58 @@ void for_each_slot(const CampaignConfig& cfg, std::size_t count,
                     static_cast<std::size_t>(std::max(1, cfg.scenario_batch)));
 }
 
+// Run every global slot of `slots` (ascending) and hand each finished record
+// to `commit`, which may be called from several workers at once.
+void run_slots(const CampaignConfig& cfg, std::span<const std::uint64_t> slots,
+               const SlotKind& kind,
+               const std::function<void(SlotRecord)>& commit) {
+  struct Sinks {
+    obs::Tracer trace;
+    obs::MetricsRegistry metrics;
+  };
+  std::vector<Sinks> sinks(slots.size());
+  for_each_slot(cfg, slots.size(), [&](std::size_t i) {
+    // Bind this slot's private sinks to the executing worker thread (and
+    // shadow any ambient sink, so inline jobs == 1 runs collect identically).
+    obs::ScopedSink bind(cfg.tracer != nullptr ? &sinks[i].trace : nullptr,
+                         cfg.metrics != nullptr ? &sinks[i].metrics : nullptr);
+    const std::uint64_t g = slots[i];
+    const SlotKey key = kind.key(g);
+    SlotRecord rec;
+    for (int attempt = 0; attempt < kMaxSlotAttempts && !rec.exercised;
+         ++attempt) {
+      util::Rng rng(util::derive_seed(cfg.seed, key.stream, key.index,
+                                      static_cast<std::uint64_t>(attempt)));
+      if (auto* tr = obs::tracer())
+        tr->instant(obs::Ev::kScenario, obs::kGlobal, -1, -1, 0.0,
+                    static_cast<std::int64_t>(key.index), attempt, key.label);
+      if (auto* me = obs::metrics()) me->inc(obs::Counter::kScenarios);
+      if (auto done = kind.attempt(g, rng)) {
+        rec = std::move(*done);
+        rec.exercised = true;
+      }
+      rec.attempts = attempt + 1;
+    }
+    rec.gslot = g;
+    commit(std::move(rec));
+  });
+  for (auto& s : sinks) {
+    if (cfg.tracer != nullptr) cfg.tracer->append(std::move(s.trace));
+    if (cfg.metrics != nullptr) cfg.metrics->merge(s.metrics);
+  }
+}
+
 // ---- durable-session plumbing (campaign_store.h) ----------------------------
 //
-// Shared by the scripted and soak engines.  A session owns the in-memory
-// CheckpointData, the ordered slot stream, and the list of slots this process
-// still has to execute.  Workers commit completed slots through one mutex;
-// the checkpoint is re-saved crash-safely every cfg.checkpoint_every commits,
-// and the stream cursor advances over every done-in-order slot.  Nothing here
-// affects results: records are keyed by global slot, so the final artifacts
-// are pure functions of the campaign identity regardless of jobs, placement,
-// shard layout or how many times the process was killed and resumed.
+// Scripted and soak campaigns commit through a session; multi-fault sweeps
+// are never checkpointed.  A session owns the in-memory CheckpointData, the
+// ordered slot stream, and the list of slots this process still has to
+// execute.  Workers commit completed slots through one mutex; the checkpoint
+// is re-saved crash-safely every cfg.checkpoint_every commits, and the stream
+// cursor advances over every done-in-order slot.  Nothing here affects
+// results: records are keyed by global slot, so the final artifacts are pure
+// functions of the campaign identity regardless of jobs, placement, shard
+// layout or how many times the process was killed and resumed.
 
 struct StoreSession {
   CampaignIdentity id;
@@ -451,50 +548,30 @@ void close_session(const CampaignConfig& cfg, StoreSession& ss) {
   ss.since_save = 0;
 }
 
+// Run this process's pending slots of a scripted or soak campaign, committing
+// each through the durable session; returns every record the session holds.
+CheckpointData run_session(const CampaignConfig& cfg, const SlotKind& kind) {
+  StoreSession ss;
+  open_session(cfg, ss);
+  run_slots(cfg, ss.pending, kind,
+            [&](SlotRecord rec) { commit_slot(cfg, ss, std::move(rec)); });
+  close_session(cfg, ss);
+  return std::move(ss.data);
+}
+
 }  // namespace
 
 ScenarioResult run_scenario_sft(const Scenario& s, const CampaignConfig& cfg) {
-  auto input = util::random_keys(
-      s.input_seed, (std::size_t{1} << s.dim) * s.block);
-  Adversary adversary;
-  sort::SftOptions opts;
-  opts.block = s.block;
-  opts.check_progress = cfg.check_progress;
-  opts.check_feasibility = cfg.check_feasibility;
-  opts.check_consistency = cfg.check_consistency;
-  opts.check_exchange = cfg.check_exchange;
-  instantiate(s, adversary, opts.node_faults);
-  if (is_link_class(s.fclass)) opts.interceptor = &adversary;
-  opts.machine = lease_machine(s.dim, cfg.reuse_machines);
-  auto run = sort::run_sft(s.dim, input, opts);
-  const bool exercised =
-      is_link_class(s.fclass) ? adversary.touched() > 0 : !opts.node_faults.empty();
-  const std::uint64_t fired =
-      is_link_class(s.fclass) ? adversary.touched() : (exercised ? 1 : 0);
-  return finish_result(s, run, input, exercised, fired);
+  return run_fault_set({&s, 1}, cfg, true);
 }
 
 ScenarioResult run_scenario_snr(const Scenario& s, const CampaignConfig& cfg) {
-  auto input = util::random_keys(
-      s.input_seed, (std::size_t{1} << s.dim) * s.block);
-  Adversary adversary;
-  sort::SnrOptions opts;
-  opts.block = s.block;
-  NodeFaultMap nf;
-  instantiate(s, adversary, nf);
-  opts.node_faults = std::move(nf);
-  if (is_link_class(s.fclass)) opts.interceptor = &adversary;
-  opts.machine = lease_machine(s.dim, cfg.reuse_machines);
-  auto run = sort::run_snr(s.dim, input, opts);
-  const bool exercised =
-      is_link_class(s.fclass) ? adversary.touched() > 0 : !opts.node_faults.empty();
-  const std::uint64_t fired =
-      is_link_class(s.fclass) ? adversary.touched() : (exercised ? 1 : 0);
-  return finish_result(s, run, input, exercised, fired);
+  return run_fault_set({&s, 1}, cfg, false);
 }
 
 MultiScenario draw_multi_scenario(int k, const CampaignConfig& cfg,
                                   util::Rng& rng) {
+  check_fault_count(k, cfg.dim);
   MultiScenario ms;
   ms.dim = cfg.dim;
   ms.block = cfg.block;
@@ -512,171 +589,75 @@ MultiScenario draw_multi_scenario(int k, const CampaignConfig& cfg,
   return ms;
 }
 
-MultiResult run_multi_scenario_sft(const MultiScenario& ms,
-                                   const CampaignConfig& cfg) {
-  auto input = util::random_keys(ms.input_seed,
-                                 (std::size_t{1} << ms.dim) * ms.block);
-  Adversary adversary;
-  sort::SftOptions opts;
-  opts.block = ms.block;
-  opts.check_progress = cfg.check_progress;
-  opts.check_feasibility = cfg.check_feasibility;
-  opts.check_consistency = cfg.check_consistency;
-  opts.check_exchange = cfg.check_exchange;
-  bool any_node_fault = false;
-  bool any_link_fault = false;
-  for (const auto& s : ms.faults) {
-    instantiate(s, adversary, opts.node_faults);
-    any_node_fault |= !is_link_class(s.fclass);
-    any_link_fault |= is_link_class(s.fclass);
-  }
-  if (any_link_fault) opts.interceptor = &adversary;
-  opts.machine = lease_machine(ms.dim, cfg.reuse_machines);
-  auto run = sort::run_sft(ms.dim, input, opts);
-
-  MultiResult r;
-  r.outcome = sort::classify(run, input);
-  r.fault_exercised = any_node_fault || adversary.touched() > 0;
-  if (!run.errors.empty()) r.detection_stage = run.errors.front().stage;
-  return r;
-}
-
-std::vector<MultiTally> run_multi_campaign(const CampaignConfig& cfg, int max_k) {
-  require_sim_backend(cfg);
-  const auto slots_per_k = static_cast<std::size_t>(cfg.runs_per_class);
-
-  struct MultiSlotOutcome {
-    std::optional<MultiResult> result;  // engaged iff exercised
-    int attempts = 0;
-    obs::Tracer trace;
-    obs::MetricsRegistry metrics;
+std::vector<MultiTally> run_multi_campaign(const CampaignConfig& cfg,
+                                           int max_k) {
+  check_entry(cfg, false, max_k);
+  const auto spc = static_cast<std::uint64_t>(cfg.runs_per_class);
+  // Global slot g = (k - 1) * runs_per_class + slot.
+  const auto k_of = [&](std::uint64_t g) {
+    return static_cast<int>(g / spc) + 1;
   };
+  const SlotKind kind{
+      [&](std::uint64_t g) {
+        return SlotKey{multi_stream(k_of(g)), g % spc,
+                       "multi-k" + std::to_string(k_of(g))};
+      },
+      [&](std::uint64_t g, util::Rng& rng) -> std::optional<SlotRecord> {
+        const MultiScenario ms = draw_multi_scenario(k_of(g), cfg, rng);
+        const ScenarioResult r = run_fault_set(ms.faults, cfg, true);
+        if (!r.fault_exercised) return std::nullopt;
+        return record_of(r, static_cast<std::uint32_t>(ms.faults.size()));
+      }};
 
-  // Phase 1: pre-draw attempt-0 multi-scenarios serially.
-  std::vector<MultiScenario> first_draws(static_cast<std::size_t>(max_k) *
-                                         slots_per_k);
-  for (int k = 1; k <= max_k; ++k)
-    for (std::size_t slot = 0; slot < slots_per_k; ++slot) {
-      util::Rng rng(util::derive_seed(cfg.seed, multi_stream(k), slot, 0));
-      first_draws[static_cast<std::size_t>(k - 1) * slots_per_k + slot] =
-          draw_multi_scenario(k, cfg, rng);
-    }
+  // No session: every slot runs, and its record lands at index g.
+  std::vector<MultiTally> tallies(static_cast<std::size_t>(std::max(max_k, 0)));
+  std::vector<std::uint64_t> slots(tallies.size() * spc);
+  std::iota(slots.begin(), slots.end(), std::uint64_t{0});
+  std::vector<SlotRecord> records(slots.size());
+  run_slots(cfg, slots, kind,
+            [&](SlotRecord rec) { records[rec.gslot] = std::move(rec); });
 
-  // Phase 2: execute every (k, slot) across the pool.
-  std::vector<MultiSlotOutcome> outcomes(first_draws.size());
-  for_each_slot(cfg, outcomes.size(), [&](std::size_t i) {
-    const int k = static_cast<int>(i / slots_per_k) + 1;
-    const std::size_t slot = i % slots_per_k;
-    auto& out = outcomes[i];
-    obs::ScopedSink bind(cfg.tracer != nullptr ? &out.trace : nullptr,
-                         cfg.metrics != nullptr ? &out.metrics : nullptr);
-    for (int attempt = 0; attempt < kMaxSlotAttempts; ++attempt) {
-      MultiScenario ms;
-      if (attempt == 0) {
-        ms = first_draws[i];
-      } else {
-        util::Rng rng(util::derive_seed(
-            cfg.seed, multi_stream(k), slot, static_cast<std::uint64_t>(attempt)));
-        ms = draw_multi_scenario(k, cfg, rng);
-      }
-      ++out.attempts;
-      if (auto* tr = obs::tracer())
-        tr->instant(obs::Ev::kScenario, obs::kGlobal, -1, -1, 0.0,
-                    static_cast<std::int64_t>(slot), attempt,
-                    "multi-k" + std::to_string(k));
-      if (auto* me = obs::metrics()) me->inc(obs::Counter::kScenarios);
-      const auto r = run_multi_scenario_sft(ms, cfg);
-      if (!r.fault_exercised) continue;
-      out.result = r;
-      break;
+  for (std::size_t k = 0; k < tallies.size(); ++k)
+    tallies[k].k = static_cast<int>(k) + 1;
+  for (const SlotRecord& rec : records) {
+    MultiTally& t = tallies[rec.gslot / spc];
+    t.attempts += rec.attempts;
+    if (!rec.exercised) {
+      ++t.dropped;
+      continue;
     }
-  });
-
-  // Phase 3: aggregate in (k, slot) order — identical for every job count.
-  std::vector<MultiTally> tallies;
-  for (int k = 1; k <= max_k; ++k) {
-    MultiTally tally;
-    tally.k = k;
-    for (std::size_t slot = 0; slot < slots_per_k; ++slot) {
-      auto& out =
-          outcomes[static_cast<std::size_t>(k - 1) * slots_per_k + slot];
-      if (cfg.tracer != nullptr) cfg.tracer->append(std::move(out.trace));
-      if (cfg.metrics != nullptr) cfg.metrics->merge(out.metrics);
-      tally.attempts += out.attempts;
-      if (!out.result) {
-        ++tally.dropped;
-        continue;
-      }
-      ++tally.runs;
-      switch (out.result->outcome) {
-        case sort::Outcome::kFailStop: ++tally.detected; break;
-        case sort::Outcome::kCorrect: ++tally.masked; break;
-        case sort::Outcome::kSilentWrong: ++tally.silent_wrong; break;
-      }
-    }
-    tallies.push_back(tally);
+    ++t.runs;
+    classify_outcome(rec.outcome, t.detected, t.masked, t.silent_wrong);
   }
   return tallies;
 }
 
 CampaignSummary run_campaign(const CampaignConfig& cfg) {
-  require_sim_backend(cfg);
-  const auto slots_per_class = static_cast<std::uint64_t>(cfg.runs_per_class);
-
+  check_entry(cfg, false);
+  const auto spc = static_cast<std::uint64_t>(cfg.runs_per_class);
   // Supported classes at this dimension; unsupported ones keep a zeroed
   // tally with every slot reported dropped rather than crashing the draw.
   const std::vector<FaultClass> active = active_classes(cfg.dim);
-
-  // Phase 0: open the durable session — load/validate any checkpoint,
-  // rebuild the stream prefix, compute the pending slot list.  A fresh
-  // non-durable campaign degenerates to "every shard slot is pending".
-  StoreSession ss;
-  open_session(cfg, ss);
-
-  // Phase 1: pre-draw attempt-0 scenarios for pending slots serially.
-  std::vector<Scenario> first_draws(ss.pending.size());
-  for (std::size_t i = 0; i < ss.pending.size(); ++i) {
-    const std::uint64_t g = ss.pending[i];
-    first_draws[i] = draw_slot_attempt(active[g / slots_per_class], cfg,
-                                       g % slots_per_class, 0);
-  }
-
-  // Phase 2: execute every pending slot, possibly across the pool, and
-  // commit each to the checkpoint/stream as it completes.
-  std::vector<SlotOutcome> outcomes(ss.pending.size());
-  for_each_slot(cfg, outcomes.size(), [&](std::size_t i) {
-    const std::uint64_t g = ss.pending[i];
-    const FaultClass fclass = active[g / slots_per_class];
-    auto& out = outcomes[i];
-    out = run_slot(fclass, cfg, g % slots_per_class, first_draws[i]);
-    SlotRecord rec;
-    rec.gslot = g;
-    rec.attempts = out.attempts;
-    rec.exercised = out.sft.has_value();
-    if (out.sft) {
-      rec.scenario = out.sft->scenario;
-      rec.outcome = out.sft->outcome;
-      rec.first_detector = out.sft->first_detector;
-      rec.detection_stage = out.sft->detection_stage;
-      rec.snr_counted = out.snr_counted;
-      rec.snr_outcome = out.snr_outcome;
-      rec.faults_fired = out.sft->faults_fired;
-      rec.faulty_nodes = 1;  // scripted scenarios have one faulty node
-    }
-    commit_slot(cfg, ss, std::move(rec));
-  });
-  close_session(cfg, ss);
-
-  // Merge per-slot observability in ascending global-slot order (pending is
-  // ascending, so this matches the old (class, slot) walk exactly).
-  for (auto& out : outcomes) {
-    if (cfg.tracer != nullptr) cfg.tracer->append(std::move(out.trace));
-    if (cfg.metrics != nullptr) cfg.metrics->merge(out.metrics);
-  }
-
-  // Phase 3: aggregate from the records in (class, slot) order — identical
-  // for every job count, shard layout and resume history.
-  return summarize_slots(cfg, ss.data);
+  const SlotKind kind{
+      [&](std::uint64_t g) {
+        const FaultClass c = active[g / spc];
+        return SlotKey{class_stream(c), g % spc, to_string(c)};
+      },
+      [&](std::uint64_t g, util::Rng& rng) -> std::optional<SlotRecord> {
+        const Scenario s = draw_scenario(active[g / spc], cfg, rng);
+        const ScenarioResult r = run_scenario_sft(s, cfg);
+        if (!r.fault_exercised) return std::nullopt;  // point never reached
+        SlotRecord rec = record_of(r, 1);
+        if (applies_to_snr(s.fclass)) {
+          const ScenarioResult b = run_scenario_snr(s, cfg);
+          rec.snr_counted = b.fault_exercised;
+          if (b.fault_exercised) rec.snr_outcome = b.outcome;
+        }
+        return rec;
+      }};
+  // Aggregate from the records in (class, slot) order — identical for every
+  // job count, shard layout and resume history.
+  return summarize_slots(cfg, run_session(cfg, kind));
 }
 
 // ---- probabilistic soak campaigns -------------------------------------------
@@ -699,102 +680,63 @@ std::uint64_t max_dislocation(std::span<const sim::Key> output) {
 
 namespace {
 
-// Seed stream for soak slots: disjoint from the per-class and multi-fault
-// ranges.
-std::uint64_t soak_stream(InjectionMode mode) {
-  return 0x200u + static_cast<std::uint64_t>(mode);
-}
-
-// One soak slot: redraw (input, delta, gate seed, victim) until an injection
-// actually fires, up to the shared redraw budget.  Everything consumed comes
-// from derive_seed(seed, soak_stream, slot, attempt) — pure per attempt.
-SlotRecord run_soak_slot(const CampaignConfig& cfg, std::uint64_t g) {
+// One soak attempt: draw (input, delta, gate seed, victim) and run S_FT
+// under probabilistic arrival; nullopt when no injection fired.
+std::optional<SlotRecord> run_soak_attempt(const CampaignConfig& cfg,
+                                           util::Rng& rng) {
   const auto num_nodes = std::size_t{1} << cfg.dim;
+  const std::uint64_t input_seed = rng.next_u64();
+  const sim::Key delta = rng.next_in(1, 1 << 20) * (rng.next_bool() ? 1 : -1);
+  const std::uint64_t gate_seed = rng.next_u64();
+  const auto faulty = static_cast<cube::NodeId>(rng.next_below(num_nodes));
+
+  ArrivalStats stats;
+  stats.fired_nodes = util::BitVec(num_nodes);
+  Adversary adversary;
+  if (cfg.injection.mode == InjectionMode::kIndependent)
+    adversary.add(
+        independent_corrupt(cfg.injection.p, delta, gate_seed, &stats));
+  else
+    adversary.add(run_length_crash(faulty, cfg.injection.k, &stats));
+
+  const auto input = util::random_keys(input_seed, num_nodes * cfg.block);
+  const auto run = sort::run_sft(
+      cfg.dim, input,
+      options_from<sort::SftOptions>(cfg, cfg.dim, cfg.block, &adversary));
+  if (stats.fired == 0) return std::nullopt;
+
   SlotRecord rec;
-  rec.gslot = g;
-  for (int attempt = 0; attempt < kMaxSlotAttempts; ++attempt) {
-    util::Rng rng(util::derive_seed(cfg.seed, soak_stream(cfg.injection.mode),
-                                    g, static_cast<std::uint64_t>(attempt)));
-    const std::uint64_t input_seed = rng.next_u64();
-    const sim::Key delta = rng.next_in(1, 1 << 20) * (rng.next_bool() ? 1 : -1);
-    const std::uint64_t gate_seed = rng.next_u64();
-    const auto faulty = static_cast<cube::NodeId>(rng.next_below(num_nodes));
-    ++rec.attempts;
-    if (auto* tr = obs::tracer())
-      tr->instant(obs::Ev::kScenario, obs::kGlobal, -1, -1, 0.0,
-                  static_cast<std::int64_t>(g), attempt,
-                  to_string(cfg.injection.mode));
-    if (auto* me = obs::metrics()) me->inc(obs::Counter::kScenarios);
-
-    ArrivalStats stats;
-    stats.fired_nodes = util::BitVec(num_nodes);
-    Adversary adversary;
-    if (cfg.injection.mode == InjectionMode::kIndependent)
-      adversary.add(
-          independent_corrupt(cfg.injection.p, delta, gate_seed, &stats));
-    else
-      adversary.add(run_length_crash(faulty, cfg.injection.k, &stats));
-
-    auto input = util::random_keys(input_seed, num_nodes * cfg.block);
-    sort::SftOptions opts;
-    opts.block = cfg.block;
-    opts.check_progress = cfg.check_progress;
-    opts.check_feasibility = cfg.check_feasibility;
-    opts.check_consistency = cfg.check_consistency;
-    opts.check_exchange = cfg.check_exchange;
-    opts.interceptor = &adversary;
-    opts.machine = lease_machine(cfg.dim, cfg.reuse_machines);
-    auto run = sort::run_sft(cfg.dim, input, opts);
-    if (stats.fired == 0) continue;  // no arrival this attempt; redraw
-
-    rec.exercised = true;
-    rec.outcome = sort::classify(run, input);
-    if (!run.errors.empty()) {
-      rec.first_detector = run.errors.front().source;
-      rec.detection_stage = run.errors.front().stage;
-    }
-    rec.faults_fired = stats.fired;
-    rec.faulty_nodes = static_cast<std::uint32_t>(stats.fired_nodes.count());
-    rec.scenario.dim = cfg.dim;
-    rec.scenario.block = cfg.block;
-    rec.scenario.delta = delta;
-    rec.scenario.input_seed = input_seed;
-    if (cfg.injection.mode == InjectionMode::kRunLength)
-      rec.scenario.faulty = faulty;
-    if (rec.outcome == sort::Outcome::kSilentWrong)
-      rec.dislocation = max_dislocation(run.output);
-    break;
+  rec.outcome = sort::classify(run, input);
+  if (!run.errors.empty()) {
+    rec.first_detector = run.errors.front().source;
+    rec.detection_stage = run.errors.front().stage;
   }
+  rec.faults_fired = stats.fired;
+  rec.faulty_nodes = static_cast<std::uint32_t>(stats.fired_nodes.count());
+  rec.scenario.dim = cfg.dim;
+  rec.scenario.block = cfg.block;
+  rec.scenario.delta = delta;
+  rec.scenario.input_seed = input_seed;
+  if (cfg.injection.mode == InjectionMode::kRunLength)
+    rec.scenario.faulty = faulty;
+  if (rec.outcome == sort::Outcome::kSilentWrong)
+    rec.dislocation = max_dislocation(run.output);
   return rec;
 }
 
 }  // namespace
 
 SoakTally run_soak_campaign(const CampaignConfig& cfg) {
-  require_sim_backend(cfg);
-  assert(cfg.injection.mode != InjectionMode::kScripted);
-
-  StoreSession ss;
-  open_session(cfg, ss);
-
-  struct SoakSlotOutcome {
-    obs::Tracer trace;
-    obs::MetricsRegistry metrics;
-  };
-  std::vector<SoakSlotOutcome> outcomes(ss.pending.size());
-  for_each_slot(cfg, ss.pending.size(), [&](std::size_t i) {
-    auto& out = outcomes[i];
-    obs::ScopedSink bind(cfg.tracer != nullptr ? &out.trace : nullptr,
-                         cfg.metrics != nullptr ? &out.metrics : nullptr);
-    commit_slot(cfg, ss, run_soak_slot(cfg, ss.pending[i]));
-  });
-  close_session(cfg, ss);
-
-  for (auto& out : outcomes) {
-    if (cfg.tracer != nullptr) cfg.tracer->append(std::move(out.trace));
-    if (cfg.metrics != nullptr) cfg.metrics->merge(out.metrics);
-  }
-  return summarize_soak(cfg, ss.data);
+  check_entry(cfg, true);
+  const SlotKind kind{
+      [&](std::uint64_t g) {
+        return SlotKey{soak_stream(cfg.injection.mode), g,
+                       to_string(cfg.injection.mode)};
+      },
+      [&](std::uint64_t, util::Rng& rng) {
+        return run_soak_attempt(cfg, rng);
+      }};
+  return summarize_soak(cfg, run_session(cfg, kind));
 }
 
 }  // namespace aoft::fault

@@ -20,16 +20,18 @@
 // times and the node fault is inactive) are re-drawn, so every counted run
 // really contains a fault.
 //
-// Execution engine (docs/PROTOCOL.md §8): campaigns are slot-based.  Class c
-// owns runs_per_class slots; attempt a of slot i draws its scenario from a
-// fresh Rng seeded with util::derive_seed(cfg.seed, stream(c), i, a) — a pure
-// function of the campaign seed, never a shared generator.  A slot redraws
-// (next attempt) while its injection goes unexercised, up to kMaxSlotAttempts;
-// a slot that never lands is *dropped* and surfaced in the tally, not
-// silently backfilled.  Because slots are independent they execute across a
+// Execution engine (docs/PROTOCOL.md §8): scripted, soak and multi-fault
+// campaigns all run through one slot engine.  Class c (or fault count k, or
+// the soak mode) owns runs_per_class slots; attempt a of slot i draws its
+// scenario, inside the worker running the slot, from a fresh Rng seeded with
+// util::derive_seed(cfg.seed, stream, i, a) — a pure function of the
+// campaign seed, never a shared generator.  A slot redraws (next attempt)
+// while its injection goes unexercised, up to kMaxSlotAttempts; a slot that
+// never lands is *dropped* and surfaced in the tally, not silently
+// backfilled.  Because slots are independent they execute across a
 // util::ThreadPool when cfg.jobs > 1, and aggregation always walks slots in
-// (class, index) order, so the CampaignSummary is bit-identical for any job
-// count, including the serial jobs == 1 path.
+// (class, index) order, so every tally and trace is bit-identical for any
+// job count, including the serial jobs == 1 path.
 
 #pragma once
 
@@ -184,8 +186,9 @@ struct CampaignConfig {
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
   // How injections arrive (fault_spec.h).  kScripted sweeps the FaultClass
-  // scenario space; kIndependent/kRunLength run probabilistic soak slots
-  // instead (run_soak_campaign).
+  // scenario space (run_campaign, run_multi_campaign); kIndependent/
+  // kRunLength run probabilistic soak slots instead (run_soak_campaign).
+  // Each entry point throws std::invalid_argument on the other kind.
   InjectionPolicy injection;
   // ---- durability (campaign_store.h, docs/PROTOCOL.md §10) ----
   // Non-empty: persist a slots-completed checkpoint here, written
@@ -264,16 +267,10 @@ struct MultiScenario {
   std::vector<Scenario> faults;  // one per faulty node, aligned fields
 };
 
-struct MultiResult {
-  sort::Outcome outcome{};
-  bool fault_exercised = false;
-  int detection_stage = -1;
-};
-
+// Throws std::invalid_argument when k > 2^cfg.dim: there are not k distinct
+// nodes to fault.
 MultiScenario draw_multi_scenario(int k, const CampaignConfig& cfg,
                                   util::Rng& rng);
-MultiResult run_multi_scenario_sft(const MultiScenario& s,
-                                   const CampaignConfig& cfg);
 
 struct MultiTally {
   int k = 0;  // simultaneous faults
@@ -286,7 +283,9 @@ struct MultiTally {
 };
 
 // For k = 1 .. max_k: cfg.runs_per_class exercised multi-fault runs each.
-// Theorem 3 promises silent_wrong == 0 for every k <= dim-1.
+// Theorem 3 promises silent_wrong == 0 for every k <= dim-1.  Never
+// checkpointed or streamed; throws std::invalid_argument when
+// max_k > 2^cfg.dim.
 std::vector<MultiTally> run_multi_campaign(const CampaignConfig& cfg, int max_k);
 
 // ---- probabilistic soak campaigns (InjectionMode != kScripted) --------------
@@ -294,8 +293,8 @@ std::vector<MultiTally> run_multi_campaign(const CampaignConfig& cfg, int max_k)
 // One soak run = one S_FT sort under probabilistic fault arrival
 // (fault_spec.h): kIndependent corrupts each node-node message with
 // probability p, kRunLength crashes one drawn node on its k-th send.  A
-// slot redraws (fresh sub-seed) while no injection fires, exactly like the
-// scripted engine, and the whole campaign is a pure function of
+// slot redraws (fresh sub-seed) while no injection fires, in the same slot
+// engine as scripted campaigns, and the whole campaign is a pure function of
 // (seed, mode, params) at every job count.
 //
 // Theorem 3's silent-wrong == 0 contract is asserted only while the

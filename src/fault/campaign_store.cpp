@@ -143,6 +143,8 @@ bool identity_sane(const CampaignIdentity& id) {
          id.shard_index < id.shard_count;
 }
 
+}  // namespace
+
 void classify_outcome(sort::Outcome o, int& detected, int& masked,
                       int& silent_wrong) {
   switch (o) {
@@ -151,8 +153,6 @@ void classify_outcome(sort::Outcome o, int& detected, int& masked,
     case sort::Outcome::kSilentWrong: ++silent_wrong; break;
   }
 }
-
-}  // namespace
 
 bool CampaignIdentity::same_campaign(const CampaignIdentity& o) const {
   CampaignIdentity a = *this;

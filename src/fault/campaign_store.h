@@ -7,7 +7,7 @@
 // Because the slot engine's randomness is a pure function of
 // (seed, stream, slot, attempt) — docs/PROTOCOL.md §8 — a slot's outcome can
 // be persisted once and never re-run: this module stores, per completed
-// global slot, everything phase-3 aggregation needs, so a resumed or merged
+// global slot, everything the aggregation needs, so a resumed or merged
 // campaign reconstructs a CampaignSummary bit-identical to an uninterrupted
 // serial run.
 //
@@ -171,6 +171,11 @@ CampaignSummary summarize_slots(const CampaignConfig& cfg,
                                 const CheckpointData& store);
 SoakTally summarize_soak(const CampaignConfig& cfg,
                          const CheckpointData& store);
+
+// Count one outcome into its detected / masked / silent-wrong column — the
+// one classification every campaign tally uses.
+void classify_outcome(sort::Outcome o, int& detected, int& masked,
+                      int& silent_wrong);
 
 // Fold shard checkpoints into one canonical (shard 0/1) checkpoint.  All
 // parts must be the same campaign, carry distinct in-range shard indices and
