@@ -1,9 +1,9 @@
 #include "sim/machine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "obs/sink.h"
 #include "sim/remote.h"
@@ -129,6 +129,14 @@ void HostCtx::account_bulk_recv(const Message& m) {
   stats_.comm_ticks += cost;
 }
 
+bool link_event_before(const LinkEvent& a, const LinkEvent& b) {
+  const auto key = [](const LinkEvent& e) {
+    return std::tuple(e.stage, e.iter, e.from, e.to, e.to_host, e.from_host,
+                      static_cast<int>(e.kind), e.words, e.delivered);
+  };
+  return key(a) < key(b);
+}
+
 // ---- Machine ----
 
 Machine::Machine(cube::Topology topo, CostModel cost)
@@ -236,20 +244,6 @@ void Machine::run(const NodeMain& node_main, const HostMain& host_main) {
   watchdog_rounds_ = sched_.run();
 }
 
-void Machine::run_per_node(std::vector<NodeMain> mains,
-                           const HostMain& host_main) {
-  if (ran_) throw std::logic_error("Machine::run may be called once per reset");
-  ran_ = true;
-  assert(mains.size() == topo_.num_nodes());
-  // `mains` is owned by value: the closures sit in this frame until every
-  // coroutine finishes, with no second copy.
-  HostMain host_local(host_main);
-  for (cube::NodeId p = 0; p < topo_.num_nodes(); ++p)
-    sched_.spawn(mains[p](ctxs_[p]));
-  if (host_local) sched_.spawn(host_local(host_ctx_));
-  watchdog_rounds_ = sched_.run();
-}
-
 void Machine::attach_remote(RemoteLink* link, std::int32_t local_node) {
   if (ran_)
     throw std::logic_error("attach_remote must precede the machine's run");
@@ -290,23 +284,43 @@ bool Machine::remote_idle() {
           .push(std::move(m));
     }
   };
+  const auto pumped = [&] {
+    if (remote_->pump(pool_, deliver) == 0) return false;
+    remote_wait_start_.reset();  // a delivery ends the wait episode
+    return true;
+  };
+  // The absence rules of sim/remote.h, in order.
   for (;;) {
-    if (remote_->pump(pool_, deliver) > 0) return true;
-    // Map each blocked receiver back to the peer it waits on, so the link
-    // can detect peer death long before the real-time timeout: a receiver on
-    // in_links_[local][k] waits on neighbor local ^ (1 << k).  A receiver
-    // blocked on the host link names no peer — the host is reliable by
-    // Environmental Assumption 2, so only the deadline can fail it.
-    remote_peers_.clear();
-    if (remote_local_ >= 0) {
-      const auto local = static_cast<cube::NodeId>(remote_local_);
-      for (const Channel* ch : sched_.blocked())
-        for (int k = 0; k < topo_.dimension(); ++k)
-          if (ch == in_links_[local][static_cast<std::size_t>(k)].get())
-            remote_peers_.push_back(local ^ (cube::NodeId{1} << k));
-    }
-    if (!remote_->wait_activity(remote_peers_)) return false;
+    if (pumped()) return true;
+    const auto now = std::chrono::steady_clock::now();
+    if (!remote_wait_start_) remote_wait_start_ = now;
+    if (remote_->orphaned()) return false;
+    if (waited_peers_down()) return pumped();
+    if (remote_local_ >= 0 &&
+        std::chrono::duration<double>(now - *remote_wait_start_).count() >
+            remote_->recv_timeout_s())
+      return false;
+    remote_->idle();
   }
+}
+
+bool Machine::waited_peers_down() const {
+  if (remote_local_ < 0) {
+    for (cube::NodeId p = 0; p < topo_.num_nodes(); ++p)
+      if (!remote_->peer_down(p)) return false;
+    return true;
+  }
+  // A receiver on in_links_[local][k] waits on neighbor local ^ (1 << k);
+  // one on the host link names no peer.
+  const auto local = static_cast<cube::NodeId>(remote_local_);
+  bool waits_on_peer = false;
+  for (const Channel* ch : sched_.blocked())
+    for (int k = 0; k < topo_.dimension(); ++k)
+      if (ch == in_links_[local][static_cast<std::size_t>(k)].get()) {
+        if (!remote_->peer_down(local ^ (cube::NodeId{1} << k))) return false;
+        waits_on_peer = true;
+      }
+  return waits_on_peer;
 }
 
 void Machine::reset() { reset(cost_); }
@@ -325,6 +339,7 @@ void Machine::reset(const CostModel& cost) {
   cost_ = cost;
   remote_ = nullptr;
   remote_local_ = -1;
+  remote_wait_start_.reset();
   interceptor_ = nullptr;
   record_events_ = false;
   events_.clear();

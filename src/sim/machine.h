@@ -21,8 +21,10 @@
 
 #pragma once
 
+#include <chrono>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -192,6 +194,12 @@ struct LinkEvent {
   bool from_host = false;
 };
 
+// The canonical link-event order: (stage, iter, from, to, to_host,
+// from_host, kind, words, delivered).  Sorting by it makes an event log a
+// pure function of the message multiset, so logs recorded sender-side in
+// different processes compare equal to the simulator's.
+bool link_event_before(const LinkEvent& a, const LinkEvent& b);
+
 class Machine {
  public:
   Machine(cube::Topology topo, CostModel cost);
@@ -209,17 +217,13 @@ class Machine {
   // completion.  May be called once per Machine (or once per reset()).
   void run(const NodeMain& node_main, const HostMain& host_main = {});
 
-  // As above with a distinct program per node (adversarial node programs).
-  // Taken by value: callers that no longer need their vector can move it in
-  // and the closures are stored exactly once for the whole run.
-  void run_per_node(std::vector<NodeMain> mains, const HostMain& host_main = {});
-
   // ---- remote transport (sim/remote.h) -------------------------------------
   // Drive only one endpoint of the cube — node `local_node`, or the host when
   // local_node is negative — and route every non-local delivery through
   // `link`.  Inbound messages are pumped from the link whenever the local
-  // tasks quiesce; the watchdog fires only once the link reports that nothing
-  // further can arrive.  Attach before running; reset() detaches.
+  // tasks quiesce; the watchdog fires only once the absence rules of
+  // sim/remote.h say nothing further can arrive.  Attach before running;
+  // reset() detaches.
   void attach_remote(RemoteLink* link, std::int32_t local_node);
   bool remote() const { return remote_ != nullptr; }
 
@@ -245,7 +249,7 @@ class Machine {
   const std::vector<ErrorReport>& errors() const { return errors_; }
   bool failed_stop() const { return !errors_.empty(); }
 
-  // True once run/run_per_node has been entered (even if it threw): the
+  // True once a run has been entered (even if it threw): the
   // machine is single-shot until the next reset(), and a failed run must not
   // be re-entered.
   bool ran() const { return ran_; }
@@ -286,12 +290,14 @@ class Machine {
   HostCtx host_ctx_;
 
   // Remote-transport state: the attached link, the driven endpoint (node
-  // label, or negative for the host) and the scratch peer list the idle pump
-  // rebuilds per quiescence.
+  // label, or negative for the host) and the start of the current wait
+  // episode.  remote_idle is the one implementation of the absence rules
+  // (sim/remote.h).
   bool remote_idle();
+  bool waited_peers_down() const;
   RemoteLink* remote_ = nullptr;
   std::int32_t remote_local_ = -1;
-  std::vector<cube::NodeId> remote_peers_;
+  std::optional<std::chrono::steady_clock::time_point> remote_wait_start_;
 
   LinkInterceptor* interceptor_ = nullptr;
   bool record_events_ = false;

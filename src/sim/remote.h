@@ -4,15 +4,27 @@
 // attached (Machine::attach_remote) it drives only the *local* endpoint —
 // one node's coroutine, or the host's — and forwards every non-local
 // delivery to the link; a separate OS process drives each other endpoint
-// against the same link (transport/shm_transport.h).
+// against the same fabric (transport/shm_transport.h, tcp_transport.h).
 //
 // Inbound traffic is pulled at quiescence: when every local task is blocked
-// on a receive, the scheduler's idle hook pumps the link instead of firing
-// the watchdog, and the watchdog only fires once the link itself reports
-// that nothing further can arrive — every waited-on peer is terminally down
-// with its rings drained, or a real-time deadline expired.  That preserves
-// the paper's Environmental Assumption 4 (message absence is detectable) on
-// a transport where absence takes actual wall-clock time to establish.
+// on a receive, the scheduler's idle hook (Machine::remote_idle) pumps the
+// link instead of firing the watchdog.  Whether anything further can arrive
+// (Environmental Assumption 4, message absence is detectable, on a fabric
+// where absence takes wall-clock time) is decided there alone, by these
+// rules, checked in order after a pump that delivered nothing:
+//
+//   1. an orphaned node (its host is gone) is silent;
+//   2. once every peer the local receivers wait on is down (for the host:
+//      every node), pump once more: anything delivered resumes the
+//      scheduler, nothing is silence.  A peer's down state is published
+//      after everything it sent, so that pump sees all of it;
+//   3. a node wait episode (first empty pump to next delivery) longer than
+//      recv_timeout_s() is silent.  The host has no timeout; its run
+//      deadline bounds it.
+//
+// Otherwise the machine calls idle() and pumps again.  A receiver blocked
+// on the reliable host link (Environmental Assumption 2) names no peer, so
+// only rules 1 and 3 can fail it.
 //
 // The interface lives in sim, not transport, so the transport library can
 // implement it against sim without a dependency cycle.
@@ -21,7 +33,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <span>
 
 #include "hypercube/topology.h"
 #include "sim/message.h"
@@ -49,11 +60,17 @@ class RemoteLink {
       std::function<void(bool from_host, cube::NodeId from, Message&&)>;
   virtual std::size_t pump(KeyPool& pool, const Deliver& deliver) = 0;
 
-  // Idle wait.  `peers` holds the node labels the local receivers are
-  // currently blocked on (empty when only host traffic is awaited).  Return
-  // true to re-pump; return false when no further message can arrive — the
-  // machine then lets the watchdog fail the blocked receivers.
-  virtual bool wait_activity(std::span<const cube::NodeId> peers) = 0;
+  // ---- the primitives of the absence rules above --------------------------
+  // Node q is terminally down (done, failed or dead): it sends nothing more.
+  virtual bool peer_down(cube::NodeId q) const = 0;
+  // The local node's host is gone.  Always false on the host endpoint.
+  virtual bool orphaned() const = 0;
+  // Rule 3's bound on one node wait episode; unused on the host endpoint.
+  virtual double recv_timeout_s() const = 0;
+  // Wait, boundedly, for inbound activity.  The host endpoint also reaps
+  // its children here, so deaths and the run deadline surface while its
+  // program is blocked.
+  virtual void idle() = 0;
 };
 
 }  // namespace aoft::sim

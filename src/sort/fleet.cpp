@@ -5,7 +5,6 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 
 #include "transport/frame.h"
 
@@ -136,18 +135,6 @@ void merge(cube::NodeId p, const transport::NodeResult& r, std::size_t m,
   for (const auto& w : r.events) run.link_events.push_back(from_wire(w));
 }
 
-void canonicalize_link_events(std::vector<sim::LinkEvent>& events) {
-  const auto key = [](const sim::LinkEvent& e) {
-    return std::make_tuple(e.stage, e.iter, e.from, e.to, e.to_host,
-                           e.from_host, static_cast<int>(e.kind), e.words,
-                           e.delivered);
-  };
-  std::sort(events.begin(), events.end(),
-            [&](const sim::LinkEvent& a, const sim::LinkEvent& b) {
-              return key(a) < key(b);
-            });
-}
-
 }  // namespace
 
 SortRun run_fleet(const FleetJob& job, const NodeProgram& program) {
@@ -181,7 +168,8 @@ SortRun run_fleet(const FleetJob& job, const NodeProgram& program) {
 
   run.output.assign(static_cast<std::size_t>(n) * m, 0);
   for (cube::NodeId p = 0; p < n; ++p) merge(p, fleet->result(p), m, run);
-  canonicalize_link_events(run.link_events);
+  std::sort(run.link_events.begin(), run.link_events.end(),
+            sim::link_event_before);
   return run;
 }
 

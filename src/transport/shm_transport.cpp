@@ -42,80 +42,46 @@ void ShmTransport::send_from_host(cube::NodeId to, const sim::Message& m) {
   if (!push_ring(seg_.down_ring(to), m)) ++seg_.slot(to).send_overflow;
 }
 
+// The rings feeding this endpoint, in drain order: every node's up ring on
+// the host; a node's link rings, then its down ring.
 std::size_t ShmTransport::pump(sim::KeyPool& pool, const Deliver& deliver) {
-  std::size_t delivered = 0;
-  std::vector<unsigned char> rec;
-  const auto drain = [&](ShmRing ring, bool from_host) {
-    while (ring.try_pop(rec)) {
-      sim::Message m(pool);
-      if (!decode_message(rec, pool, m))
-        throw std::runtime_error("shm ring record corrupt");
-      deliver(from_host, m.from, std::move(m));
-      ++delivered;
-    }
-  };
-  if (role_ == kHostRole) {
-    for (cube::NodeId p = 0; p < seg_.num_nodes(); ++p)
-      drain(seg_.up_ring(p), false);
-  } else {
-    const auto me = static_cast<cube::NodeId>(role_);
-    for (int k = 0; k < seg_.dim(); ++k) drain(seg_.link_ring(me, k), false);
-    drain(seg_.down_ring(me), true);
-  }
-  if (delivered > 0) waiting_ = false;
-  return delivered;
+  const bool host = role_ == kHostRole;
+  const auto me = static_cast<cube::NodeId>(role_);
+  const auto rings =
+      host ? seg_.num_nodes() : static_cast<cube::NodeId>(seg_.dim()) + 1;
+  cube::NodeId i = 0;
+  return deliver_records(
+      pool, deliver, [&](std::vector<unsigned char>& rec, bool& from_host) {
+        for (; i < rings; ++i) {
+          from_host = !host && i + 1 == rings;
+          ShmRing ring = host        ? seg_.up_ring(i)
+                         : from_host ? seg_.down_ring(me)
+                                     : seg_.link_ring(me, static_cast<int>(i));
+          if (ring.try_pop(rec)) return true;
+        }
+        return false;
+      });
 }
 
-bool ShmTransport::wait_activity(std::span<const cube::NodeId> peers) {
-  const auto now = std::chrono::steady_clock::now();
-  if (!waiting_) {
-    waiting_ = true;
-    wait_start_ = now;
-  }
+// Acquire pairs with the release store that makes a slot terminal (the
+// child's publish, or the parent's reap): every record the node pushed
+// before it is visible to the next pump.
+bool ShmTransport::peer_down(cube::NodeId q) const {
+  return slot_terminal(static_cast<SlotState>(
+      seg_.slot(q).state.load(std::memory_order_acquire)));
+}
 
-  if (role_ == kHostRole) {
-    if (host_poll_) host_poll_();
-    bool all_down = true;
-    for (cube::NodeId p = 0; all_down && p < seg_.num_nodes(); ++p)
-      all_down = slot_terminal(static_cast<SlotState>(
-          seg_.slot(p).state.load(std::memory_order_acquire)));
-    if (all_down) {
-      // Slots first, rings second: anything a child pushed before its
-      // terminal store is visible by now, so empty rings mean silence.
-      bool drained = true;
-      for (cube::NodeId p = 0; drained && p < seg_.num_nodes(); ++p)
-        drained = seg_.up_ring(p).empty();
-      if (drained) return false;
-    }
-    std::this_thread::sleep_for(kIdleNap);
-    return true;
-  }
+bool ShmTransport::orphaned() const {
+  return role_ != kHostRole && getppid() != seg_.header().host_pid;
+}
 
-  // Node role.  An orphaned child can never receive again: its host (and
-  // the cube around it) is gone.
-  if (getppid() != seg_.header().host_pid) return false;
+double ShmTransport::recv_timeout_s() const {
+  return seg_.header().recv_timeout_s;
+}
 
-  if (!peers.empty()) {
-    bool all_down = true;
-    for (cube::NodeId q : peers)
-      all_down = all_down && slot_terminal(static_cast<SlotState>(
-                                 seg_.slot(q).state.load(
-                                     std::memory_order_acquire)));
-    if (all_down) {
-      const auto me = static_cast<cube::NodeId>(role_);
-      bool drained = true;
-      for (int k = 0; drained && k < seg_.dim(); ++k)
-        drained = seg_.link_ring(me, k).empty();
-      if (drained && seg_.down_ring(me).empty()) return false;
-    }
-  }
-
-  const double waited =
-      std::chrono::duration<double>(now - wait_start_).count();
-  if (waited > seg_.header().recv_timeout_s) return false;
-
+void ShmTransport::idle() {
   std::this_thread::sleep_for(kIdleNap);
-  return true;
+  if (host_poll_) host_poll_();
 }
 
 sim::RemoteLink& ShmNodePort::open() {

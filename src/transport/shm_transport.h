@@ -3,16 +3,14 @@
 // Each OS process owns one endpoint — node p (role == p) or the host (role
 // == kHostRole) — and a ShmTransport wired to the shared segment.  Sends
 // encode into the destination's inbound ring; pump drains every ring that
-// feeds the local endpoint.  wait_activity implements message-absence
-// detection (Environmental Assumption 4) on real time: a blocked node
-// returns "nothing further can arrive" only once every peer it waits on is
-// terminally down (status slot) with its inbound rings drained, or after
-// recv_timeout_s of no progress; the host variant waits for all slots
-// terminal and up-rings empty, polling the parent's reaper on the way.
+// feeds the local endpoint.  Message absence is decided by the one policy
+// in sim/remote.h; this fabric answers its primitives: a peer is down once
+// its status slot is terminal, a node is orphaned once its parent pid
+// changes, and idle() naps 200 µs (on the host, after polling the parent's
+// reaper).
 
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -36,7 +34,10 @@ class ShmTransport final : public sim::RemoteLink {
   void send_host(cube::NodeId from, const sim::Message& m) override;
   void send_from_host(cube::NodeId to, const sim::Message& m) override;
   std::size_t pump(sim::KeyPool& pool, const Deliver& deliver) override;
-  bool wait_activity(std::span<const cube::NodeId> peers) override;
+  bool peer_down(cube::NodeId q) const override;
+  bool orphaned() const override;
+  double recv_timeout_s() const override;
+  void idle() override;
 
  private:
   bool push_ring(ShmRing ring, const sim::Message& m);
@@ -45,11 +46,6 @@ class ShmTransport final : public sim::RemoteLink {
   std::int32_t role_;
   std::function<void()> host_poll_;
   std::vector<unsigned char> scratch_;
-
-  // One waiting episode: starts when wait_activity first sees no progress,
-  // ends when pump delivers something.  The recv timeout bounds the episode.
-  bool waiting_ = false;
-  std::chrono::steady_clock::time_point wait_start_{};
 };
 
 // A node process's end of the shm fabric: the job is the segment header,

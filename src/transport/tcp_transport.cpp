@@ -2,9 +2,11 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
+#include <linux/sockios.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -13,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -53,6 +56,48 @@ sockaddr_in make_addr(const std::string& addr, std::uint16_t port) {
 bool wait_readable(int fd, int timeout_ms) {
   pollfd pf{fd, POLLIN, 0};
   return ::poll(&pf, 1, timeout_ms) > 0;
+}
+
+// The one poll set both endpoints idle on: every open connection for input,
+// plus output while it holds a write backlog, for at most 20 ms.  With no
+// connection open, a 1 ms nap.
+void idle_on(std::initializer_list<std::span<const TcpConn>> groups) {
+  std::vector<pollfd> pfds;
+  for (const auto group : groups)
+    for (const TcpConn& c : group)
+      if (c.fd() >= 0)
+        pfds.push_back(
+            {c.fd(),
+             static_cast<short>(POLLIN | (c.want_write() ? POLLOUT : 0)), 0});
+  if (pfds.empty())
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  else
+    ::poll(pfds.data(), pfds.size(), 20);
+}
+
+// Bytes the kernel still holds for the peer: unsent, or sent and not yet
+// acknowledged.  0 once the connection is reset: SIOCOUTQ keeps counting
+// what a reset discarded, and none of it can reach the peer any more.
+int unacked_bytes(int fd) {
+  tcp_info ti{};
+  socklen_t len = sizeof ti;
+  if (::getsockopt(fd, IPPROTO_TCP, TCP_INFO, &ti, &len) != 0 ||
+      ti.tcpi_state == TCP_CLOSE)
+    return 0;
+  int n = 0;
+  return ::ioctl(fd, SIOCOUTQ, &n) == 0 ? n : 0;
+}
+
+std::size_t deliver_inbox(std::deque<TcpInbound>& inbox, sim::KeyPool& pool,
+                          const sim::RemoteLink::Deliver& deliver) {
+  return deliver_records(
+      pool, deliver, [&](std::vector<unsigned char>& rec, bool& from_host) {
+        if (inbox.empty()) return false;
+        rec = std::move(inbox.front().bytes);
+        from_host = inbox.front().from_host;
+        inbox.pop_front();
+        return true;
+      });
 }
 
 }  // namespace
@@ -188,6 +233,28 @@ std::optional<TcpConn> TcpListener::accept_one() {
   set_nonblocking(cfd);
   set_nodelay(cfd);
   return TcpConn(cfd);
+}
+
+void close_gracefully(std::span<TcpConn* const> conns, double timeout_s) {
+  const auto deadline =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(timeout_s));
+  for (;;) {
+    bool done = true;
+    for (TcpConn* c : conns) {
+      if (!c->open()) continue;
+      c->read_some();  // unread input is discarded: closing over it resets
+      if (!c->flush()) {
+        done = false;  // the FIN must follow the last queued byte
+        continue;
+      }
+      ::shutdown(c->fd(), SHUT_WR);
+      done = unacked_bytes(c->fd()) == 0 && done;
+    }
+    if (done || Clock::now() >= deadline) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (TcpConn* c : conns) c->close_fd();
 }
 
 TcpConn tcp_dial(const std::string& addr, std::uint16_t port,
@@ -404,9 +471,8 @@ void TcpNodeEndpoint::send_from_host(cube::NodeId, const sim::Message&) {
   throw std::logic_error("tcp: node endpoint cannot send as host");
 }
 
-bool TcpNodeEndpoint::service() {
+void TcpNodeEndpoint::service() {
   const auto now = Clock::now();
-  const bool was_empty = inbox_.empty();
 
   const auto drain = [&](TcpConn& c, int k, bool from_host) {
     if (!c.open() && !c.eof()) return;
@@ -444,64 +510,19 @@ bool TcpNodeEndpoint::service() {
   }
 
   watch_.sweep(now);
-  return was_empty && !inbox_.empty();
 }
 
 std::size_t TcpNodeEndpoint::pump(sim::KeyPool& pool, const Deliver& deliver) {
   service();
-  std::size_t delivered = 0;
-  while (!inbox_.empty()) {
-    Pending rec = std::move(inbox_.front());
-    inbox_.pop_front();
-    sim::Message m(pool);
-    if (!decode_message(rec.bytes, pool, m))
-      throw std::runtime_error("tcp: data frame corrupt");
-    deliver(rec.from_host, m.from, std::move(m));
-    ++delivered;
-  }
-  if (delivered > 0) waiting_ = false;
-  return delivered;
+  return deliver_inbox(inbox_, pool, deliver);
 }
 
-bool TcpNodeEndpoint::wait_activity(std::span<const cube::NodeId> peers) {
-  const auto now = Clock::now();
-  if (!waiting_) {
-    waiting_ = true;
-    wait_start_ = now;
-  }
+bool TcpNodeEndpoint::peer_down(cube::NodeId q) const {
+  return watch_.terminal(std::countr_zero(me_ ^ q));
+}
 
-  if (service()) return true;  // fresh data: let the machine pump
-
-  // An orphaned node can never receive again: its host (and the cube around
-  // it) is gone.  Mirrors the shm getppid() check.
-  if (parent_.eof()) return false;
-
-  if (!peers.empty()) {
-    bool all_down = true;
-    for (cube::NodeId q : peers)
-      all_down = all_down &&
-                 watch_.terminal(std::countr_zero(me_ ^ q));
-    // service() drained every complete frame into the inbox, so an empty
-    // inbox here means the dead peers' streams really are exhausted.
-    if (all_down && inbox_.empty()) return false;
-  }
-
-  const double waited =
-      std::chrono::duration<double>(now - wait_start_).count();
-  if (waited > cfg_.recv_timeout_s) return false;
-
-  // Sleep on the sockets until data, a heartbeat deadline, or a short nap.
-  std::vector<pollfd> pfds;
-  const auto add = [&](const TcpConn& c) {
-    if (c.fd() >= 0)
-      pfds.push_back(
-          {c.fd(),
-           static_cast<short>(POLLIN | (c.want_write() ? POLLOUT : 0)), 0});
-  };
-  add(parent_);
-  for (const auto& c : peers_) add(c);
-  ::poll(pfds.data(), pfds.size(), 20);
-  return true;
+void TcpNodeEndpoint::idle() {
+  idle_on({std::span<const TcpConn>(&parent_, 1), peers_});
 }
 
 void TcpNodeEndpoint::publish(const NodeResult& r) {
@@ -525,17 +546,11 @@ void TcpNodeEndpoint::publish(const NodeResult& r) {
   append(r.output.data(), r.output.size() * sizeof(sim::Key));
   parent_.queue_frame(FrameType::kFinish, payload);
 
-  // Flush everything still buffered (final exchange traffic included) before
-  // closing; a peer that will not drain us is itself dead, so bound the try.
-  const auto deadline = Clock::now() + std::chrono::seconds(5);
-  for (;;) {
-    bool done = parent_.flush();
-    for (auto& c : peers_) done = c.flush() && done;
-    if (done || Clock::now() >= deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  parent_.close_fd();
-  for (auto& c : peers_) c.close_fd();
+  // Everything still buffered (final exchange traffic included) must reach
+  // its reader before the connections go away.
+  std::vector<TcpConn*> conns{&parent_};
+  for (auto& c : peers_) conns.push_back(&c);
+  close_gracefully(conns, 5.0);
 }
 
 // ---- TcpHostEndpoint --------------------------------------------------------
@@ -646,7 +661,7 @@ void TcpHostEndpoint::broadcast_config(const JobHead& job,
 void TcpHostEndpoint::handle_frame(cube::NodeId p, const Frame& f) {
   switch (f.type) {
     case FrameType::kData:
-      inbox_.push_back({p, {f.payload.begin(), f.payload.end()}});
+      inbox_.push_back({false, {f.payload.begin(), f.payload.end()}});
       return;
     case FrameType::kHeartbeat:
       return;  // bytes already refreshed last_rx
@@ -678,9 +693,8 @@ void TcpHostEndpoint::handle_frame(cube::NodeId p, const Frame& f) {
   }
 }
 
-bool TcpHostEndpoint::service() {
+void TcpHostEndpoint::service() {
   const auto now = Clock::now();
-  const bool was_empty = inbox_.empty();
   for (cube::NodeId p = 0; p < n_; ++p) {
     TcpConn& c = conns_[p];
     if (c.fd() < 0) continue;
@@ -702,58 +716,22 @@ bool TcpHostEndpoint::service() {
   for (cube::NodeId p = 0; p < n_; ++p)
     if (!slot_terminal(results_[p].state))
       results_[p].state = watch_.state(static_cast<int>(p));
-  return was_empty && !inbox_.empty();
 }
 
 std::size_t TcpHostEndpoint::pump(sim::KeyPool& pool, const Deliver& deliver) {
   service();
-  std::size_t delivered = 0;
-  while (!inbox_.empty()) {
-    Pending rec = std::move(inbox_.front());
-    inbox_.pop_front();
-    sim::Message m(pool);
-    if (!decode_message(rec.bytes, pool, m))
-      throw std::runtime_error("tcp: data frame corrupt");
-    deliver(false, rec.from, std::move(m));
-    ++delivered;
-  }
-  if (delivered > 0) waiting_ = false;
-  return delivered;
+  return deliver_inbox(inbox_, pool, deliver);
 }
 
-bool TcpHostEndpoint::wait_activity(std::span<const cube::NodeId>) {
-  const auto now = Clock::now();
-  if (!waiting_) {
-    waiting_ = true;
-    wait_start_ = now;
-  }
+void TcpHostEndpoint::idle() {
+  idle_on({conns_});
   if (host_poll_) host_poll_();
-  if (service()) return true;
-  if (watch_.all_terminal() && inbox_.empty()) return false;
-
-  std::vector<pollfd> pfds;
-  for (const auto& c : conns_)
-    if (c.fd() >= 0)
-      pfds.push_back(
-          {c.fd(),
-           static_cast<short>(POLLIN | (c.want_write() ? POLLOUT : 0)), 0});
-  if (!pfds.empty()) ::poll(pfds.data(), pfds.size(), 20);
-  else std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  return true;
 }
 
 void TcpHostEndpoint::await_all() {
   while (!watch_.all_terminal()) {
-    if (host_poll_) host_poll_();
     service();
-    std::vector<pollfd> pfds;
-    for (const auto& c : conns_)
-      if (c.fd() >= 0)
-        pfds.push_back(
-            {c.fd(),
-             static_cast<short>(POLLIN | (c.want_write() ? POLLOUT : 0)), 0});
-    if (!pfds.empty()) ::poll(pfds.data(), pfds.size(), 20);
-    else std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    idle();
   }
   service();  // collect any FINISH that raced the final sweep
 }

@@ -9,15 +9,16 @@
 // q < p and accepts the neighbors with q > p, so every physical link of the
 // cube is one TCP connection and node programs run completely unmodified.
 //
-// Death detection is the tentpole difference from shm: there is no shared
-// segment for a parent authority to flip slots in, so each endpoint runs its
-// own PeerWatch — connection EOF means the peer's process is gone (the
-// kernel FINs a SIGKILLed process's sockets immediately), and heartbeat
-// silence beyond heartbeat_loss_s catches a *wedged* peer that neither
-// speaks nor exits.  Both transition the peer to the same terminal kDead
-// state a reaped shm child gets, and `recv_timeout_s` remains the absolute
-// backstop on any wait episode, so Environmental Assumption 4 (message
-// absence is detectable) holds with the identical failure semantics.
+// Death detection is what differs from shm: there is no shared segment for
+// a parent authority to flip slots in, so each endpoint runs its own
+// PeerWatch — connection EOF means the peer's process is gone (the kernel
+// FINs a SIGKILLed process's sockets immediately), and heartbeat silence
+// beyond heartbeat_loss_s catches a *wedged* peer that neither speaks nor
+// exits.  Both transition the peer to the same terminal kDead state a
+// reaped shm child gets.  Message absence is decided by the one policy in
+// sim/remote.h: a peer is down once its PeerWatch state is terminal, a node
+// is orphaned once its parent stream hits EOF, and idle() polls the open
+// connections for up to 20 ms (the host then polls its process reaper).
 
 #pragma once
 
@@ -109,6 +110,14 @@ class TcpListener {
   std::uint16_t port_ = 0;
 };
 
+// Close `conns` without losing a queued byte (docs/PROTOCOL.md §13.3):
+// flush each write buffer, half-close so a FIN follows the data, and close
+// once the peer has acknowledged everything sent, discarding unread input
+// meanwhile.  A plain close() over unread input resets the connection, and
+// the reset drops whatever the peer had not yet acknowledged.  Bounded by
+// `timeout_s`: a peer that does not drain us is itself dead.
+void close_gracefully(std::span<TcpConn* const> conns, double timeout_s);
+
 // Blocking connect with retry until `timeout_s` (the target may not be
 // listening yet).  Returns a nonblocking TCP_NODELAY connection; throws
 // std::runtime_error on timeout.
@@ -131,6 +140,12 @@ struct HostPin {
 std::vector<std::optional<HostPin>> parse_hosts_file(const std::string& path,
                                                      int num_nodes);
 
+// A received DATA record awaiting the pump (both endpoints' inbox).
+struct TcpInbound {
+  bool from_host = false;
+  std::vector<unsigned char> bytes;  // encode_message record
+};
+
 // ---- node endpoint ----------------------------------------------------------
 
 // A node process's end of the socket fabric: its NodePort and the
@@ -148,8 +163,8 @@ class TcpNodeEndpoint final : public sim::RemoteLink, public NodePort {
 
   // NodePort.  open() builds the peer mesh from the port map: dial lower
   // neighbors, accept higher ones, then drop the listen socket; throws on
-  // timeout.  publish() sends the FINISH frame (flushing all buffered peer
-  // traffic first) and closes every connection.
+  // timeout.  publish() sends the FINISH frame and closes every connection
+  // gracefully, so all buffered peer traffic lands first.
   cube::NodeId node() const override { return me_; }
   const JobHead& job() const override { return cfg_.job; }
   std::span<const WireFault> faults() const override { return faults_; }
@@ -164,19 +179,16 @@ class TcpNodeEndpoint final : public sim::RemoteLink, public NodePort {
   void send_host(cube::NodeId from, const sim::Message& m) override;
   void send_from_host(cube::NodeId to, const sim::Message& m) override;
   std::size_t pump(sim::KeyPool& pool, const Deliver& deliver) override;
-  bool wait_activity(std::span<const cube::NodeId> peers) override;
+  bool peer_down(cube::NodeId q) const override;
+  bool orphaned() const override { return parent_.eof(); }
+  double recv_timeout_s() const override { return cfg_.recv_timeout_s; }
+  void idle() override;
 
  private:
-  struct Pending {
-    bool from_host;
-    std::vector<unsigned char> bytes;  // encode_message record
-  };
-
   TcpConn& neighbor(cube::NodeId q);
   // Read every open connection, queue kData, track liveness; send due
-  // heartbeats; flush write buffers.  Returns true if any inbound data
-  // frame arrived.
-  bool service();
+  // heartbeats; flush write buffers.
+  void service();
 
   cube::NodeId me_;
   int dim_ = 0;
@@ -189,11 +201,8 @@ class TcpNodeEndpoint final : public sim::RemoteLink, public NodePort {
   TcpConn parent_;
   std::vector<TcpConn> peers_;  // indexed by dimension k
   PeerWatch watch_;             // indexed by dimension k
-  std::deque<Pending> inbox_;
+  std::deque<TcpInbound> inbox_;
   std::vector<unsigned char> scratch_;
-
-  bool waiting_ = false;
-  std::chrono::steady_clock::time_point wait_start_{};
 };
 
 // ---- host endpoint ----------------------------------------------------------
@@ -205,8 +214,8 @@ class TcpHostEndpoint final : public sim::RemoteLink {
   std::uint16_t port() const { return listener_.port(); }
   const std::string& addr() const { return addr_; }
 
-  // Invoked on every wait iteration so the parent process manager can reap
-  // zombies and enforce the run deadline (mirrors ShmTransport's hook).
+  // Invoked from idle() so the parent process manager can reap zombies and
+  // enforce the run deadline (mirrors ShmTransport's hook).
   void set_host_poll(std::function<void()> poll) {
     host_poll_ = std::move(poll);
   }
@@ -221,16 +230,12 @@ class TcpHostEndpoint final : public sim::RemoteLink {
                         std::span<const sim::Key> input,
                         std::span<const sim::Key> llbs);
 
-  // Service the fleet until every node is terminal and all FINISH results
-  // are in (the non-checkpoint wait; checkpoint-mode hosts instead run a
-  // Machine whose idle hook pumps this link).
+  // Service the fleet until every node is down and all FINISH results are
+  // in, idling as the host's machine does between pumps.
   void await_all();
 
   // Node p's FINISH record; state kDead once the watchdog retired it.
   const NodeResult& result(cube::NodeId p) const { return results_[p]; }
-  SlotState peer_state(cube::NodeId p) const {
-    return watch_.state(static_cast<int>(p));
-  }
 
   // sim::RemoteLink
   void send_node(cube::NodeId from, cube::NodeId to,
@@ -238,15 +243,15 @@ class TcpHostEndpoint final : public sim::RemoteLink {
   void send_host(cube::NodeId from, const sim::Message& m) override;
   void send_from_host(cube::NodeId to, const sim::Message& m) override;
   std::size_t pump(sim::KeyPool& pool, const Deliver& deliver) override;
-  bool wait_activity(std::span<const cube::NodeId> peers) override;
+  bool peer_down(cube::NodeId q) const override {
+    return watch_.terminal(static_cast<int>(q));
+  }
+  bool orphaned() const override { return false; }
+  double recv_timeout_s() const override { return opts_.recv_timeout_s; }
+  void idle() override;
 
  private:
-  struct Pending {
-    cube::NodeId from;
-    std::vector<unsigned char> bytes;
-  };
-
-  bool service();
+  void service();
   void handle_frame(cube::NodeId p, const Frame& f);
 
   int dim_;
@@ -259,12 +264,9 @@ class TcpHostEndpoint final : public sim::RemoteLink {
   std::vector<WirePortEntry> port_map_;
   std::vector<NodeResult> results_;
   PeerWatch watch_;  // indexed by node
-  std::deque<Pending> inbox_;
+  std::deque<TcpInbound> inbox_;
   std::vector<unsigned char> scratch_;
   std::function<void()> host_poll_;
-
-  bool waiting_ = false;
-  std::chrono::steady_clock::time_point wait_start_{};
 };
 
 }  // namespace aoft::transport

@@ -1,4 +1,4 @@
-// Wire form of sim::Message for the shared-memory rings.
+// Wire form of sim::Message for the shm rings and the tcp DATA frames.
 //
 // Both ends of a segment are the same build on the same machine, so the
 // layout is native-endian PODs: a fixed header followed by the data keys and
@@ -12,10 +12,12 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/message.h"
 #include "sim/pool.h"
+#include "sim/remote.h"
 
 namespace aoft::transport {
 
@@ -79,6 +81,26 @@ inline bool decode_message(std::span<const unsigned char> bytes,
   out.data.assign(keys, keys + h.ndata);
   out.lbs.assign(keys + h.ndata, keys + h.ndata + h.nlbs);
   return true;
+}
+
+// The one decode→deliver loop of the multi-process fabrics' pumps.
+// `next(rec, from_host)` moves the next received record into `rec` and
+// returns false once none is left.  Returns the number delivered.
+template <class Next>
+std::size_t deliver_records(sim::KeyPool& pool,
+                            const sim::RemoteLink::Deliver& deliver,
+                            Next&& next) {
+  std::size_t delivered = 0;
+  std::vector<unsigned char> rec;
+  bool from_host = false;
+  while (next(rec, from_host)) {
+    sim::Message m(pool);
+    if (!decode_message(rec, pool, m))
+      throw std::runtime_error("transport: received record corrupt");
+    deliver(from_host, m.from, std::move(m));
+    ++delivered;
+  }
+  return delivered;
 }
 
 }  // namespace aoft::transport

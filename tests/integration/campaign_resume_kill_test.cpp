@@ -20,6 +20,7 @@
 
 #include <cstdio>
 #include <iterator>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -105,6 +106,11 @@ struct Campaign {
   std::string name;
   std::vector<std::string> flags;  // mode/jobs flavour under test
 };
+
+// gtest prints a parameter into the discovered ctest name.  Without this it
+// would dump the struct's raw bytes, heap pointers included, so every
+// discovery would name the tests differently.
+void PrintTo(const Campaign& c, std::ostream* os) { *os << c.name; }
 
 class CampaignResumeKillTest : public ::testing::TestWithParam<Campaign> {};
 

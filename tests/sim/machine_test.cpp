@@ -41,15 +41,6 @@ TEST(MachineTest, SecondRunThrows) {
   EXPECT_THROW(machine.run(noop), std::logic_error);
 }
 
-TEST(MachineTest, RunPerNodeAlsoEnforcesRunOnce) {
-  Machine machine(cube::Topology{1}, CostModel{});
-  std::vector<NodeMain> mains(2, [](Ctx&) -> SimTask { co_return; });
-  machine.run_per_node(mains);
-  EXPECT_THROW(machine.run_per_node(mains), std::logic_error);
-  // A failed re-run leaves the first run's results readable.
-  EXPECT_TRUE(machine.errors().empty());
-}
-
 TEST(MachineTest, SendChargesSenderByMessageSize) {
   CostModel cm;
   cm.alpha_send = 10.0;

@@ -9,9 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 
+#include <chrono>
 #include <cstring>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "transport/frame.h"
@@ -275,6 +279,96 @@ TEST(TcpConn, WritingToAClosedPeerAbsorbsSilently) {
     pair.a.queue_frame(FrameType::kData, payload_bytes(1000, i));
   EXPECT_TRUE(pair.a.flush());
   EXPECT_FALSE(pair.a.want_write());
+}
+
+// One loopback TCP connection.  The close tests need real TCP, not a
+// socketpair: the reset they are about is TCP behaviour.
+struct LoopbackPair {
+  TcpListener listener{"127.0.0.1", 0};
+  TcpConn closer = tcp_dial("127.0.0.1", listener.port(), 5.0);
+  std::optional<TcpConn> peer;
+  LoopbackPair() {
+    for (int spin = 0; spin < 5000 && !peer; ++spin) {
+      peer = listener.accept_one();
+      if (!peer) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+};
+
+// A node publishes its result and closes its connections while a peer's
+// last heartbeats may still sit unread in its receive queue and its final
+// reply is still queued.  A plain close() then resets the connection and
+// the reset drops the unacknowledged tail of the reply.  close_gracefully
+// must deliver the whole frame and then a clean EOF.
+TEST(TcpConn, GracefulCloseDeliversTheQueuedTailDespiteUnreadInput) {
+  LoopbackPair pair;
+  TcpConn& closer = pair.closer;
+  ASSERT_TRUE(pair.peer.has_value());
+  auto& peer = pair.peer;
+
+  // Unread input at the closer: the peer's heartbeat reaches its kernel.
+  peer->queue_frame(FrameType::kHeartbeat, {});
+  ASSERT_TRUE(peer->flush());
+  pollfd pf{closer.fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pf, 1, 5000), 1);
+
+  // Far larger than the socket buffers: most of it is still queued when
+  // the close begins.
+  const auto big = payload_bytes(16u << 20, 5);
+  closer.queue_frame(FrameType::kData, big);
+  ASSERT_TRUE(closer.want_write());
+
+  std::thread closing([&closer] {
+    TcpConn* conns[] = {&closer};
+    close_gracefully(conns, 10.0);
+  });
+  std::vector<unsigned char> got;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!peer->eof() && std::chrono::steady_clock::now() < deadline) {
+    pollfd rp{peer->fd(), POLLIN, 0};
+    ::poll(&rp, 1, 50);
+    peer->read_some();
+    while (auto f = peer->reader().next())
+      if (f->type == FrameType::kData)
+        got.assign(f->payload.begin(), f->payload.end());
+  }
+  closing.join();
+  EXPECT_FALSE(peer->reader().malformed());
+  EXPECT_EQ(got.size(), big.size()) << "the queued tail was dropped";
+  EXPECT_TRUE(got == big);
+  EXPECT_TRUE(peer->eof());
+  EXPECT_EQ(closer.fd(), -1);
+}
+
+// A peer that dies with unread input resets the connection, and the kernel
+// keeps counting the bytes the reset discarded as unacknowledged.  The
+// close must see the reset and return, not wait out its bound.
+TEST(TcpConn, GracefulCloseReturnsAtOnceOnAResetConnection) {
+  LoopbackPair pair;
+  TcpConn& closer = pair.closer;
+  ASSERT_TRUE(pair.peer.has_value());
+  auto& peer = pair.peer;
+
+  // Fill the peer's receive window straight through the socket, so the
+  // closer's own write buffer stays empty while the kernel holds unacked
+  // bytes.
+  const auto chunk = payload_bytes(65536, 3);
+  while (::send(closer.fd(), chunk.data(), chunk.size(),
+                MSG_NOSIGNAL | MSG_DONTWAIT) > 0) {
+  }
+  ASSERT_FALSE(closer.want_write());
+  peer->close_fd();  // unread input: the peer's kernel answers with a reset
+  pollfd pf{closer.fd(), 0, 0};
+  ASSERT_EQ(::poll(&pf, 1, 5000), 1);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  TcpConn* conns[] = {&closer};
+  close_gracefully(conns, 10.0);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                .count(),
+            2.0);
+  EXPECT_EQ(closer.fd(), -1);
 }
 
 }  // namespace

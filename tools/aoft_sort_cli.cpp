@@ -563,20 +563,15 @@ bool emit_run_file(const Args& args, const sort::SortRun& run,
   return true;
 }
 
-// Write the run's link events as a canonically sorted kLink trace
-// (--trace-links).  Both transports record sender-side events; sorting by
-// (stage, iter, from, to, to_host, from_host, kind, words, delivered) makes
-// the file a pure function of the message multiset, so trace_inspect --diff
-// compares sim and shm traces directly.
+// Write the run's link events as a kLink trace in the canonical link-event
+// order (--trace-links, sim::link_event_before).  Every backend records
+// sender-side events, so the sorted file is a pure function of the message
+// multiset and trace_inspect --diff compares sim, shm and tcp traces
+// directly.
 bool emit_link_trace(const Args& args, const sort::SortRun& run) {
   if (args.trace_links.empty()) return true;
   auto evs = run.link_events;
-  auto key = [](const sim::LinkEvent& e) {
-    return std::tuple(e.stage, e.iter, e.from, e.to, e.to_host, e.from_host,
-                      static_cast<int>(e.kind), e.words, e.delivered);
-  };
-  std::sort(evs.begin(), evs.end(),
-            [&](const auto& x, const auto& y) { return key(x) < key(y); });
+  std::sort(evs.begin(), evs.end(), sim::link_event_before);
   obs::Tracer t;
   for (const auto& e : evs) {
     const std::int64_t b = (static_cast<std::int64_t>(e.words) << 16) |
