@@ -91,7 +91,8 @@ Mutator replay_stale_lbs(cube::NodeId faulty, StagePoint from_point) {
     if (from != faulty || m.lbs.empty() || !reached_point(m, from_point))
       return Action::kPass;
     if (cache->empty()) {
-      cache->assign(m.lbs.begin(), m.lbs.end());  // record once, replay forever
+      cache->resize(m.lbs.size());  // record once, replay forever
+      m.lbs.copy_to(cache->data());
       return Action::kPass;
     }
     if (cache->size() != m.lbs.size()) return Action::kPass;  // stage moved on

@@ -27,6 +27,7 @@ const cube::Topology& Ctx::topo() const { return machine_->topo_; }
 bool Ctx::remote() const { return machine_->remote(); }
 
 KeyPool& Ctx::pool() { return machine_->pool_; }
+BlockArena& Ctx::arena() { return machine_->arena_; }
 
 void Ctx::send(cube::NodeId to, Message m) {
   // Always-on invariant (not an assert: protocol code paths that pick a wrong
@@ -334,6 +335,7 @@ void Machine::reset(const CostModel& cost) {
     for (auto& ch : row) ch->reset();
   for (auto& ch : host_out_) ch->reset();
   host_inbox_->reset();
+  arena_.reset();
   for (auto& ctx : ctxs_) ctx.stats_ = NodeStats{};
   host_ctx_.stats_ = NodeStats{};
   cost_ = cost;

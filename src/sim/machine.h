@@ -118,6 +118,10 @@ class Ctx {
   // The machine's key pool; protocols build pooled Messages/KeyBufs from it.
   KeyPool& pool();
 
+  // The machine's block arena (sim/blocks.h); blocks stored here stay valid
+  // until the machine resets.
+  BlockArena& arena();
+
   const NodeStats& stats() const { return stats_; }
 
  private:
@@ -234,17 +238,19 @@ class Machine {
 
   // Return the machine to its just-constructed state so it can run again:
   // destroys any leftover coroutine frames, drains channels (pooled buffers
-  // return to the pool), zeroes clocks/stats, clears the interceptor, event
-  // log and error list, and re-arms the run-once contract.  A reset machine
-  // is observably identical to a freshly constructed one — same event log,
-  // same trace bytes — which is what lets the campaign engine keep one
-  // machine per worker instead of reconstructing per scenario.
+  // return to the pool), rewinds the block arena, zeroes clocks/stats, clears
+  // the interceptor, event log and error list, and re-arms the run-once
+  // contract.  A reset machine is observably identical to a freshly
+  // constructed one — same event log, same trace bytes — which is what lets
+  // the campaign engine keep one machine per worker instead of
+  // reconstructing per scenario.
   void reset();
   void reset(const CostModel& cost);  // as above, swapping the cost model
 
   // The free list backing pooled messages.  Single-threaded, like the
   // machine itself.
   KeyPool& pool() { return pool_; }
+  BlockArena& arena() { return arena_; }
 
   const std::vector<ErrorReport>& errors() const { return errors_; }
   bool failed_stop() const { return !errors_.empty(); }
@@ -277,8 +283,10 @@ class Machine {
   CostModel cost_;
   // Declared before the scheduler and channels: their destructors release
   // pooled buffers (queued messages, frames holding KeyBufs) into pool_, so
-  // pool_ must be destroyed after them.
+  // pool_ must be destroyed after them.  Queued messages may point into
+  // arena_, which is rewound only by reset(), after the channels drain.
   KeyPool pool_;
+  BlockArena arena_;
   Scheduler sched_;
 
   // in_links_[p][k]: messages arriving at p across dimension k.

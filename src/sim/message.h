@@ -6,10 +6,10 @@
 // (modelled by the scheduler's quiescence timeout — see scheduler.h).
 //
 // A message carries a small typed header (protocol position: stage/iteration
-// of the sort, message kind) plus two key vectors: `data` for the
+// of the sort, message kind) plus two key sequences: `data` for the
 // compare-exchange operands and `lbs` for the piggybacked bitonic-sequence
-// slice of the fault-tolerant algorithm.  The cost model charges for the
-// total number of key words.
+// slice of the fault-tolerant algorithm (block-shared or contiguous, see
+// sim/blocks.h).  The cost model charges for the total number of key words.
 
 #pragma once
 
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "hypercube/topology.h"
+#include "sim/blocks.h"
 #include "sim/pool.h"
 
 namespace aoft::sim {
@@ -48,7 +49,7 @@ struct Message {
   std::int32_t iter = -1;   // inner loop index j, -1 when not applicable
   std::int32_t tag = 0;     // application-defined discriminator
   KeyBuf data;
-  KeyBuf lbs;
+  LbsSlice lbs;
 
   // Logical time at which the message becomes available to the receiver;
   // stamped by the network at send time.

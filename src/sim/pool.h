@@ -2,15 +2,17 @@
 //
 // Theorem 4 prices S_FT at O(log^2 N + N log N) communication; in the
 // simulator every gossiped word used to ride in a freshly heap-allocated
-// std::vector<Key>.  KeyPool is a per-Machine free list of key vectors and
-// KeyBuf is the vector-like RAII handle protocols hold: acquiring reuses a
-// retired vector's capacity, destroying (or moving-from) returns the storage
-// to the pool.  Pooling is invisible to the wire protocol — message contents,
-// cost charges and trace bytes are identical with pooling on or off.
+// std::vector<Key>.  KeyPool is a per-Machine set of free lists (key vectors,
+// and block-pointer vectors via refs()) and PooledVec is the vector-like RAII
+// handle protocols hold: acquiring reuses a retired vector's capacity,
+// destroying (or moving-from) returns the storage to its list.  Pooling is
+// invisible to the wire protocol — message contents, cost charges and trace
+// bytes are identical with pooling on or off.
 //
-// KeyBuf is a contiguous range of Key (begin()/end() return raw pointers), so
-// it converts implicitly to std::span<Key> / std::span<const Key> and slots
-// into the span-based predicate and blockops APIs unchanged.
+// KeyBuf (= PooledVec<Key>) is a contiguous range of Key (begin()/end()
+// return raw pointers), so it converts implicitly to std::span<Key> /
+// std::span<const Key> and slots into the span-based predicate and blockops
+// APIs unchanged.
 //
 // The global set_pooling(false) switch exists for one consumer only:
 // bench/campaign_throughput's before/after columns, which must measure the
@@ -44,20 +46,21 @@ inline bool pooling_enabled() {
   return detail::g_pooling.load(std::memory_order_relaxed);
 }
 
-// Free list of retired key vectors.  Not thread-safe: each Machine owns one
+// Free list of retired vectors.  Not thread-safe: each Machine owns one
 // pool and a Machine is single-threaded by construction.
-class KeyPool {
+template <typename T>
+class FreeList {
  public:
-  std::vector<Key> acquire() {
+  std::vector<T> acquire() {
     if (!free_.empty()) {
-      std::vector<Key> v = std::move(free_.back());
+      std::vector<T> v = std::move(free_.back());
       free_.pop_back();
       return v;
     }
     return {};
   }
 
-  void release(std::vector<Key>&& v) {
+  void release(std::vector<T>&& v) {
     if (!pooling_enabled() || v.capacity() == 0) return;
     if (free_.size() >= kMaxFree) return;  // let the excess free normally
     v.clear();
@@ -68,27 +71,38 @@ class KeyPool {
 
  private:
   static constexpr std::size_t kMaxFree = 256;
-  std::vector<std::vector<Key>> free_;
+  std::vector<std::vector<T>> free_;
 };
 
-// Vector-like key buffer that returns its storage to a KeyPool on
-// destruction.  Default-constructed KeyBufs are unpooled (plain vector
-// semantics); copies are deep and unpooled on the destination side unless the
-// destination already has a pool, in which case copy-assignment keeps the
-// destination's pool and capacity.
-class KeyBuf {
+// The machine's pool: retired key vectors (KeyBuf storage) plus, via refs(),
+// retired block-reference vectors (BlockRefs storage, sim/blocks.h).
+class KeyPool : public FreeList<Key> {
  public:
-  KeyBuf() = default;
-  explicit KeyBuf(KeyPool& pool) : v_(pool.acquire()), pool_(&pool) {}
+  FreeList<const Key*>& refs() { return refs_; }
 
-  ~KeyBuf() { release(); }
+ private:
+  FreeList<const Key*> refs_;
+};
 
-  KeyBuf(KeyBuf&& o) noexcept
+// Vector-like buffer that returns its storage to a FreeList on destruction.
+// Default-constructed buffers are unpooled (plain vector semantics); copies
+// are deep and unpooled on the destination side unless the destination
+// already has a pool, in which case copy-assignment keeps the destination's
+// pool and capacity.
+template <typename T>
+class PooledVec {
+ public:
+  PooledVec() = default;
+  explicit PooledVec(FreeList<T>& pool) : v_(pool.acquire()), pool_(&pool) {}
+
+  ~PooledVec() { release(); }
+
+  PooledVec(PooledVec&& o) noexcept
       : v_(std::move(o.v_)), pool_(std::exchange(o.pool_, nullptr)) {
     o.v_.clear();
   }
 
-  KeyBuf& operator=(KeyBuf&& o) noexcept {
+  PooledVec& operator=(PooledVec&& o) noexcept {
     if (this != &o) {
       release();
       v_ = std::move(o.v_);
@@ -99,80 +113,83 @@ class KeyBuf {
   }
 
   // Deep copy; the copy is unpooled (safe to outlive any Machine).
-  KeyBuf(const KeyBuf& o) : v_(o.v_) {}
+  PooledVec(const PooledVec& o) : v_(o.v_) {}
 
   // Copy-assignment keeps this buffer's pool and reuses its capacity.
-  KeyBuf& operator=(const KeyBuf& o) {
+  PooledVec& operator=(const PooledVec& o) {
     if (this != &o) v_.assign(o.v_.begin(), o.v_.end());
     return *this;
   }
 
-  KeyBuf& operator=(const std::vector<Key>& v) {
+  PooledVec& operator=(const std::vector<T>& v) {
     v_.assign(v.begin(), v.end());
     return *this;
   }
 
-  KeyBuf& operator=(std::initializer_list<Key> il) {
+  PooledVec& operator=(std::initializer_list<T> il) {
     v_.assign(il);
     return *this;
   }
 
   // Detach the storage (e.g. to hand a result out of the simulation).  The
   // vector no longer returns to the pool.
-  std::vector<Key> take() && {
+  std::vector<T> take() && {
     pool_ = nullptr;
     return std::move(v_);
   }
 
   // --- vector-like interface ------------------------------------------------
-  using value_type = Key;
-  using iterator = Key*;
-  using const_iterator = const Key*;
+  using value_type = T;
+  using iterator = T*;
+  using const_iterator = const T*;
 
-  Key* data() { return v_.data(); }
-  const Key* data() const { return v_.data(); }
-  Key* begin() { return v_.data(); }
-  Key* end() { return v_.data() + v_.size(); }
-  const Key* begin() const { return v_.data(); }
-  const Key* end() const { return v_.data() + v_.size(); }
+  T* data() { return v_.data(); }
+  const T* data() const { return v_.data(); }
+  T* begin() { return v_.data(); }
+  T* end() { return v_.data() + v_.size(); }
+  const T* begin() const { return v_.data(); }
+  const T* end() const { return v_.data() + v_.size(); }
 
   std::size_t size() const { return v_.size(); }
   bool empty() const { return v_.empty(); }
 
-  Key& operator[](std::size_t i) { return v_[i]; }
-  const Key& operator[](std::size_t i) const { return v_[i]; }
-  Key& at(std::size_t i) { return v_.at(i); }
-  const Key& at(std::size_t i) const { return v_.at(i); }
-  Key& front() { return v_.front(); }
-  const Key& front() const { return v_.front(); }
-  Key& back() { return v_.back(); }
-  const Key& back() const { return v_.back(); }
+  T& operator[](std::size_t i) { return v_[i]; }
+  const T& operator[](std::size_t i) const { return v_[i]; }
+  T& at(std::size_t i) { return v_.at(i); }
+  const T& at(std::size_t i) const { return v_.at(i); }
+  T& front() { return v_.front(); }
+  const T& front() const { return v_.front(); }
+  T& back() { return v_.back(); }
+  const T& back() const { return v_.back(); }
 
   void reserve(std::size_t n) { v_.reserve(n); }
-  void resize(std::size_t n, Key fill = 0) { v_.resize(n, fill); }
+  void resize(std::size_t n, T fill = T{}) { v_.resize(n, fill); }
   void clear() { v_.clear(); }
-  void push_back(Key k) { v_.push_back(k); }
+  void push_back(T k) { v_.push_back(k); }
   void pop_back() { v_.pop_back(); }
 
   template <typename It>
   void assign(It first, It last) {
     v_.assign(first, last);
   }
-  void assign(std::size_t n, Key k) { v_.assign(n, k); }
-  void assign(std::initializer_list<Key> il) { v_.assign(il); }
+  void assign(std::size_t n, T k) { v_.assign(n, k); }
+  void assign(std::initializer_list<T> il) { v_.assign(il); }
 
-  friend bool operator==(const KeyBuf& a, const KeyBuf& b) {
+  friend bool operator==(const PooledVec& a, const PooledVec& b) {
     return a.v_ == b.v_;
   }
-  bool operator==(const std::vector<Key>& v) const { return v_ == v; }
+  bool operator==(const std::vector<T>& v) const { return v_ == v; }
 
  private:
   void release() {
     if (pool_ != nullptr) pool_->release(std::move(v_));
   }
 
-  std::vector<Key> v_;
-  KeyPool* pool_ = nullptr;
+  std::vector<T> v_;
+  FreeList<T>* pool_ = nullptr;
 };
+
+// Pooled key buffer: message operands, blocks, contiguous LBS slices.
+using KeyBuf = PooledVec<Key>;
 
 }  // namespace aoft::sim

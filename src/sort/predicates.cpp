@@ -89,19 +89,21 @@ std::optional<Violation> phi_f(std::span<const Key> llbs_inner,
 
 namespace {
 
-std::optional<Violation> phi_c_merge_eval(std::span<Key> local, BitVec& local_cover,
-                                     std::span<const Key> recv_slice,
-                                     const BitVec& sender_cover,
-                                     const cube::Subcube& window, std::size_t m,
-                                     MergeStats* stats) {
-  assert(recv_slice.size() == static_cast<std::size_t>(window.size()) * m);
-  // Walk maximal runs of consecutive covered-by-sender nodes that agree on
-  // local coverage, so the word compare / absorb copy runs once per run over
-  // run_nodes*m contiguous words (kernels.h) instead of once per node.  The
-  // run decomposition is invisible: nodes are still processed in ascending
-  // order, a disagreement still reports the node that owns the word, and
-  // stats count exactly the nodes fully processed before a violation — the
-  // same partial counts the per-node loop produced.
+// The one Φ_C walk under both phi_c_merge overloads.  It visits maximal runs
+// [p, q] of consecutive sender-covered nodes that agree on local coverage,
+// in ascending order, so a flat collection compares / absorbs each run as
+// run_nodes*m contiguous words (kernels.h) instead of node by node.
+// For the run of `nodes` entries from p, `verify(p, nodes)` returns the offset
+// of the first differing word (nodes*m when all agree) and `absorb(p, nodes)`
+// adopts the sender's entries.  A
+// disagreement reports the node that owns the word, and stats count exactly
+// the nodes fully processed before it.
+template <typename Verify, typename Absorb>
+std::optional<Violation> phi_c_walk(BitVec& local_cover,
+                                    const BitVec& sender_cover,
+                                    const cube::Subcube& window, std::size_t m,
+                                    MergeStats* stats, Verify&& verify,
+                                    Absorb&& absorb) {
   cube::NodeId p = window.start;
   while (p <= window.end) {
     if (!sender_cover.test(p)) {
@@ -113,13 +115,10 @@ std::optional<Violation> phi_c_merge_eval(std::span<Key> local, BitVec& local_co
     while (q < window.end && sender_cover.test(q + 1) &&
            local_cover.test(q + 1) == have)
       ++q;
-    const std::size_t run_nodes = static_cast<std::size_t>(q - p) + 1;
-    const std::size_t words = run_nodes * m;
-    const std::size_t local_off = static_cast<std::size_t>(p) * m;
-    const std::size_t slice_off = static_cast<std::size_t>(p - window.start) * m;
+    const std::size_t nodes = static_cast<std::size_t>(q - p) + 1;
+    const std::size_t words = nodes * m;
     if (have) {
-      const std::size_t bad = kernels::table().mismatch(
-          local.data() + local_off, recv_slice.data() + slice_off, words);
+      const std::size_t bad = verify(p, nodes);
       if (bad != words) {
         if (stats) stats->checked += (bad / m) * m;
         return Violation{"phi_C: redundant copies disagree",
@@ -128,8 +127,7 @@ std::optional<Violation> phi_c_merge_eval(std::span<Key> local, BitVec& local_co
       }
       if (stats) stats->checked += words;
     } else {
-      std::memcpy(local.data() + local_off, recv_slice.data() + slice_off,
-                  words * sizeof(Key));
+      absorb(p, nodes);
       for (cube::NodeId r = p; r <= q; ++r) local_cover.set(r);
       if (stats) stats->absorbed += words;
     }
@@ -145,10 +143,66 @@ std::optional<Violation> phi_c_merge(std::span<Key> local, BitVec& local_cover,
                                      const BitVec& sender_cover,
                                      const cube::Subcube& window, std::size_t m,
                                      MergeStats* stats) {
-  return record_verdict(obs::Ev::kPhiC, obs::Counter::kPhiCPass,
-                        obs::Counter::kPhiCFail,
-                        phi_c_merge_eval(local, local_cover, recv_slice,
-                                         sender_cover, window, m, stats));
+  assert(recv_slice.size() == static_cast<std::size_t>(window.size()) * m);
+  const auto at_local = [&](cube::NodeId p) {
+    return local.data() + static_cast<std::size_t>(p) * m;
+  };
+  const auto at_recv = [&](cube::NodeId p) {
+    return recv_slice.data() + static_cast<std::size_t>(p - window.start) * m;
+  };
+  return record_verdict(
+      obs::Ev::kPhiC, obs::Counter::kPhiCPass, obs::Counter::kPhiCFail,
+      phi_c_walk(
+          local_cover, sender_cover, window, m, stats,
+          [&](cube::NodeId p, std::size_t nodes) {
+            return kernels::table().mismatch(at_local(p), at_recv(p),
+                                             nodes * m);
+          },
+          [&](cube::NodeId p, std::size_t nodes) {
+            std::memcpy(at_local(p), at_recv(p), nodes * m * sizeof(Key));
+          }));
+}
+
+std::optional<Violation> phi_c_merge(std::span<const Key*> local,
+                                     BitVec& local_cover,
+                                     const sim::LbsSlice& recv,
+                                     const BitVec& sender_cover,
+                                     const cube::Subcube& window, std::size_t m,
+                                     sim::BlockArena& arena,
+                                     MergeStats* stats) {
+  assert(recv.size() == static_cast<std::size_t>(window.size()) * m);
+  const bool shared = recv.shares_blocks();
+  const auto at_recv = [&](cube::NodeId p) {
+    return recv.block(static_cast<std::size_t>(p - window.start), m);
+  };
+  return record_verdict(
+      obs::Ev::kPhiC, obs::Counter::kPhiCPass, obs::Counter::kPhiCFail,
+      phi_c_walk(
+          local_cover, sender_cover, window, m, stats,
+          [&](cube::NodeId p, std::size_t nodes) {
+            // Fast path: the whole run is the same blocks (the honest case).
+            if (shared && recv.same_blocks(p - window.start,
+                                           local.subspan(p, nodes)))
+              return nodes * m;
+            for (std::size_t k = 0; k < nodes; ++k) {
+              const Key* mine = local[p + k];
+              const Key* theirs = at_recv(p + k);
+              if (mine == theirs) continue;  // one block: equal by identity
+              const std::size_t w = kernels::table().mismatch(mine, theirs, m);
+              if (w != m) return k * m + w;
+            }
+            return nodes * m;
+          },
+          [&](cube::NodeId p, std::size_t nodes) {
+            if (shared) {
+              for (std::size_t k = 0; k < nodes; ++k) local[p + k] = at_recv(p + k);
+              return;
+            }
+            // A contiguous run of entries: one arena copy, one pointer each.
+            const Key* base =
+                arena.store(std::span<const Key>(at_recv(p), nodes * m));
+            for (std::size_t k = 0; k < nodes; ++k) local[p + k] = base + k * m;
+          }));
 }
 
 std::optional<Violation> bit_compare(std::span<const Key> llbs,

@@ -35,6 +35,7 @@
 
 #include "hypercube/masks.h"
 #include "hypercube/subcube.h"
+#include "sim/blocks.h"
 #include "sort/keys.h"
 #include "util/bitvec.h"
 
@@ -89,6 +90,21 @@ std::optional<Violation> phi_c_merge(std::span<Key> local, BitVec& local_cover,
                                      std::span<const Key> recv_slice,
                                      const BitVec& sender_cover,
                                      const cube::Subcube& window, std::size_t m,
+                                     MergeStats* stats = nullptr);
+
+// The same merge over a block-form collection (sim/blocks.h), as S_FT holds
+// it: `local[p]` points at node p's m-key entry and `recv` is the received
+// slice in either form.  Verdict, position, MergeStats, cover and resulting
+// keys equal the flat overload's on the same keys.  Equal pointers are one
+// block, so their word compare is skipped (the words still count as
+// checked); absorbing adopts the sender's block pointer, or stores a copy in
+// `arena` when `recv` is contiguous.
+std::optional<Violation> phi_c_merge(std::span<const Key*> local,
+                                     BitVec& local_cover,
+                                     const sim::LbsSlice& recv,
+                                     const BitVec& sender_cover,
+                                     const cube::Subcube& window, std::size_t m,
+                                     sim::BlockArena& arena,
                                      MergeStats* stats = nullptr);
 
 // --- bit_compare -------------------------------------------------------------

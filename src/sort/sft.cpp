@@ -68,10 +68,12 @@ sim::ErrorSource source_of(const Violation& v) {
 }
 
 // Per-node protocol state bundled so the helpers below stay readable.  All
-// key storage is drawn from the machine's pool: across campaign scenarios on
-// a reset machine, a node's blocks and collections reuse the same capacity.
+// storage is drawn from the machine's pool and block arena: across campaign
+// scenarios on a reset machine, a node's block and collections reuse the
+// same capacity.
 struct NodeState {
-  explicit NodeState(sim::KeyPool& pool) : a(pool), lbs(pool), llbs(pool) {}
+  explicit NodeState(sim::Ctx& c)
+      : a(c.pool()), lbs(c.pool().refs()), llbs(c.pool().refs()) {}
 
   sim::Ctx* ctx = nullptr;
   SftShared* sh = nullptr;
@@ -90,24 +92,40 @@ struct NodeState {
   sim::KeyBuf a;     // my block, stored in `cur_asc` direction
   bool cur_asc = true;
 
-  sim::KeyBuf lbs;   // full-cube flattened collection for this stage
-  sim::KeyBuf llbs;  // validated collection from the previous stage
-  util::BitVec lmask;     // labels collected in `lbs`
+  // Full-cube collections, one immutable m-key block per owner label
+  // (sim/blocks.h).  Entries nobody has written point at the arena's zero
+  // block; stage resets leave the previous stage's blocks in place.
+  sim::BlockRefs lbs;   // collection for this stage
+  sim::BlockRefs llbs;  // validated collection from the previous stage
+  util::BitVec lmask;   // labels collected in `lbs`
 
-  // The window region of `lbs` as a read-only view.
-  std::span<const Key> window_slice(const cube::Subcube& w) const {
-    const std::size_t m = sh->m;
-    return std::span<const Key>(lbs).subspan(
-        static_cast<std::size_t>(w.start) * m,
-        static_cast<std::size_t>(w.size()) * m);
+  // The window region of a collection.
+  static std::span<const Key* const> window_refs(const sim::BlockRefs& c,
+                                                 const cube::Subcube& w) {
+    return {c.data() + w.start, static_cast<std::size_t>(w.size())};
   }
 
-  // Copy the window region of `lbs` into an outgoing slice, reusing `dst`'s
-  // (pooled) capacity instead of materializing a fresh vector.
-  template <typename Buf>
-  void slice_into(const cube::Subcube& w, Buf& dst) const {
-    const auto s = window_slice(w);
-    dst.assign(s.begin(), s.end());
+  // The window region of `lbs` as an outgoing slice: a pointer copy.
+  void slice_into(const cube::Subcube& w, sim::LbsSlice& dst) const {
+    dst.assign_blocks(window_refs(lbs, w), sh->m);
+  }
+
+  // The window region of a collection flattened into a plain vector (for
+  // observer snapshots, which outlive the run).
+  void flatten_into(const sim::BlockRefs& c, const cube::Subcube& w,
+                    std::vector<Key>& out) const {
+    out.resize(static_cast<std::size_t>(w.size()) * sh->m);
+    sim::flatten_blocks(window_refs(c, w), sh->m, out.data());
+  }
+
+  // The window region of a collection flattened into the machine-wide
+  // scratch `slot`, for the contiguous Φ kernels.
+  std::span<const Key> gather(int slot, const sim::BlockRefs& c,
+                              const cube::Subcube& w) const {
+    const auto out =
+        ctx->arena().scratch(slot, static_cast<std::size_t>(w.size()) * sh->m);
+    sim::flatten_blocks(window_refs(c, w), sh->m, out.data());
+    return out;
   }
 
   // Φ_C application to one received message.  Returns false after signalling
@@ -122,7 +140,8 @@ struct NodeState {
     ctx->charge(cm.copy * static_cast<double>(cube::vect_mask_count(i, j)));
     MergeStats stats;
     obs::ScopedPredContext at(ctx->id(), i, j, ctx->clock());
-    auto violation = phi_c_merge(lbs, lmask, msg.lbs, sender_cover, window, m, &stats);
+    auto violation = phi_c_merge(lbs, lmask, msg.lbs, sender_cover, window, m,
+                                 ctx->arena(), &stats);
     ctx->charge(cm.merge_entry * static_cast<double>(stats.checked + stats.absorbed));
     if (violation && sh->opts.check_consistency)
       return !flag({0, i, j, sim::ErrorSource::kPhiC, violation->what});
@@ -156,23 +175,25 @@ struct NodeState {
                     bool inner_ascending, bool final_stage, int i) {
     const std::size_t m = sh->m;
     const auto& cm = sh->opts.cost;
-    const auto window_span = [&](const sim::KeyBuf& full,
-                                 const cube::Subcube& sc) {
-      return std::span<const Key>(full).subspan(
-          static_cast<std::size_t>(sc.start) * m,
-          static_cast<std::size_t>(sc.size()) * m);
-    };
+    if (!sh->opts.check_progress && !sh->opts.check_feasibility) return true;
+    // The kernels read contiguous keys: flatten this node's own view of the
+    // outer window once (inner lies inside it) and, for Φ_F, its LLBS view of
+    // the inner window.  No coroutine suspends before both checks finish, so
+    // the machine-wide scratch is this node's for the duration.
+    const auto lbs_outer = gather(0, lbs, outer);
     obs::ScopedPredContext at(ctx->id(), i, -1, ctx->clock());
     if (sh->opts.check_progress) {
       ctx->charge(cm.cmp * static_cast<double>(outer.size() * m));
-      if (auto v = phi_p(window_span(lbs, outer), final_stage)) {
+      if (auto v = phi_p(lbs_outer, final_stage)) {
         if (flag({0, i, -1, source_of(*v), v->what})) return false;
       }
     }
     if (sh->opts.check_feasibility) {
       ctx->charge(2.0 * cm.cmp * static_cast<double>(inner.size() * m));
-      if (auto v = phi_f(window_span(llbs, inner), window_span(lbs, inner),
-                         inner_ascending)) {
+      const auto lbs_inner = lbs_outer.subspan(
+          static_cast<std::size_t>(inner.start - outer.start) * m,
+          static_cast<std::size_t>(inner.size()) * m);
+      if (auto v = phi_f(gather(1, llbs, inner), lbs_inner, inner_ascending)) {
         if (flag({0, i, -1, source_of(*v), v->what})) return false;
       }
     }
@@ -187,7 +208,7 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
   const std::size_t num_nodes = ctx.topo().num_nodes();
   const auto& cm = sh.opts.cost;
 
-  NodeState st(ctx.pool());
+  NodeState st(ctx);
   st.ctx = &ctx;
   st.sh = &sh;
   st.fault = sh.fault_for(me);
@@ -225,22 +246,23 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
     st.cur_asc = cube::subcube_sorted_ascending(start, me);
   }
 
-  st.lbs.assign(num_nodes * m, Key{0});
-  st.llbs.assign(num_nodes * m, Key{0});
+  const Key* const zeros = ctx.arena().zeros(m);
+  st.lbs.assign(num_nodes, zeros);
+  st.llbs.assign(num_nodes, zeros);
   if (start > 0) {
     // C_{start-1}, restricted to the node's own SC_start window — exactly the
     // entries the uninterrupted run carried over its stage-(start-1) boundary
     // (Φ_F reads nothing outside it), so downstream state stays bit-identical.
+    // The caller's image outlives the run, so the entries point into it.
     const auto prev = cube::home_subcube(start, me);
-    std::copy(
-        sh.resume_llbs.begin() + static_cast<std::ptrdiff_t>(prev.start * m),
-        sh.resume_llbs.begin() + static_cast<std::ptrdiff_t>((prev.end + 1) * m),
-        st.llbs.begin() + static_cast<std::ptrdiff_t>(prev.start * m));
+    for (cube::NodeId p = prev.start; p <= prev.end; ++p)
+      st.llbs[p] = sh.resume_llbs.data() + static_cast<std::size_t>(p) * m;
   }
   st.lmask = util::BitVec(num_nodes);
+  // Publish the node's block as a fresh immutable arena block: peers that
+  // already hold the old one keep seeing the old keys, as a copy would.
   auto reset_lbs = [&] {
-    std::copy(st.a.begin(), st.a.end(),
-              st.lbs.begin() + static_cast<std::ptrdiff_t>(me * m));
+    st.lbs[me] = ctx.arena().store(st.a);
     st.lmask.clear();
     st.lmask.set(me);
   };
@@ -312,8 +334,9 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
           // keeps the previous stage's orientation (direction bit i of the
           // owner) while the operand was reoriented to the pair direction —
           // compared in place via a reversed iteration, no materialized copy.
-          const std::size_t off = static_cast<std::size_t>(partner - window.start) * m;
-          const auto gossip = std::span<const Key>(r.msg.lbs).subspan(off, m);
+          const std::span<const Key> gossip(
+              r.msg.lbs.block(static_cast<std::size_t>(partner - window.start), m),
+              m);
           ctx.charge(cm.cmp * static_cast<double>(m));
           const bool same =
               cube::subcube_sorted_ascending(i, partner) != st.cur_asc
@@ -389,10 +412,8 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
       snap.node = me;
       snap.stage = i;
       snap.window = window;
-      st.slice_into(window, snap.lbs_window);
-      snap.llbs_window.assign(
-          st.llbs.begin() + static_cast<std::ptrdiff_t>(window.start * m),
-          st.llbs.begin() + static_cast<std::ptrdiff_t>((window.end + 1) * m));
+      st.flatten_into(st.lbs, window, snap.lbs_window);
+      st.flatten_into(st.llbs, window, snap.llbs_window);
       sh.opts.observer(snap);
     }
     if (sh.opts.checkpoint) {
@@ -406,7 +427,7 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
         st.slice_into(window, ck.lbs);
         ctx.charge(cm.copy * static_cast<double>(window.size() * m));
       } else {
-        ck.data.push_back(slice_digest(st.window_slice(window)));
+        ck.data.push_back(slice_digest(st.gather(0, st.lbs, window)));
         // A streaming hash fold touches each word once: copy-rate, not cmp.
         ctx.charge(cm.copy * static_cast<double>(window.size() * m));
       }
@@ -418,9 +439,8 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
       if (auto* mreg = obs::metrics()) mreg->inc(obs::Counter::kCkptUploads);
       ctx.send_host(std::move(ck));
     }
-    std::copy(st.lbs.begin() + static_cast<std::ptrdiff_t>(window.start * m),
-              st.lbs.begin() + static_cast<std::ptrdiff_t>((window.end + 1) * m),
-              st.llbs.begin() + static_cast<std::ptrdiff_t>(window.start * m));
+    std::copy(st.lbs.begin() + window.start, st.lbs.begin() + window.end + 1,
+              st.llbs.begin() + window.start);
     ctx.charge(cm.copy * static_cast<double>(window.size() * m));
     reset_lbs();
     if (auto* tr = obs::tracer())
@@ -495,8 +515,8 @@ sim::SimTask sft_node(sim::Ctx& ctx, SftShared& sh) {
     snap.node = me;
     snap.stage = n;
     snap.window = cube_window;
-    st.slice_into(cube_window, snap.lbs_window);
-    snap.llbs_window.assign(st.llbs.begin(), st.llbs.end());
+    st.flatten_into(st.lbs, cube_window, snap.lbs_window);
+    st.flatten_into(st.llbs, cube_window, snap.llbs_window);
     sh.opts.observer(snap);
   }
   write_out();
@@ -518,7 +538,8 @@ sim::SimTask ckpt_collector(sim::HostCtx& host, SftShared& sh) {
     if (!r.msg.lbs.empty()) {
       // Copy out: uploads outlive the run (and the machine's pool), so the
       // host-side record is a plain vector while the pooled buffer returns.
-      up.slice.assign(r.msg.lbs.begin(), r.msg.lbs.end());
+      up.slice.resize(r.msg.lbs.size());
+      r.msg.lbs.copy_to(up.slice.data());
       up.is_slice = true;
     } else if (!r.msg.data.empty()) {
       up.digest = r.msg.data.front();

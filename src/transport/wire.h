@@ -53,8 +53,11 @@ inline void encode_message(const sim::Message& m,
     std::memcpy(p, m.data.data(), m.data.size() * sizeof(sim::Key));
     p += m.data.size() * sizeof(sim::Key);
   }
-  if (!m.lbs.empty())
-    std::memcpy(p, m.lbs.data(), m.lbs.size() * sizeof(sim::Key));
+  // Gather a block-form slice run by run; the wire carries keys either way.
+  m.lbs.for_each_run([&p](std::span<const sim::Key> run) {
+    std::memcpy(p, run.data(), run.size_bytes());
+    p += run.size_bytes();
+  });
 }
 
 // Rebuild a pooled Message from one ring record.  False on a malformed

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -139,6 +140,43 @@ TEST(AllocRegressionTest, PoolingRemovesAlmostAllAllocations) {
 
   EXPECT_LT(pooled * 10, unpooled)
       << "pooled=" << pooled << " unpooled=" << unpooled;
+}
+
+// S_FT's collections live in the machine's block arena (sim/blocks.h), which
+// Machine::reset rewinds without freeing.  A warm machine whose nodes publish
+// several chunks' worth of blocks and gossip them by pointer must run again
+// without a single allocation, on the same chunks.
+TEST(AllocRegressionTest, ArenaReuseAcrossResetAllocatesNothing) {
+  SKIP_WITHOUT_HOOK();
+  sim::Machine machine(cube::Topology{3}, sim::CostModel{});
+  // Kept out of the coroutine frame, which must stay small enough for the
+  // frame pool.
+  static const std::array<Key, 512> keys{};
+  auto program = [](sim::Ctx& ctx) -> sim::SimTask {
+    const cube::NodeId peer = ctx.topo().neighbor(ctx.id(), 0);
+    std::array<const Key*, 8> refs{};
+    for (int round = 0; round < 8; ++round) {
+      for (auto& r : refs) r = ctx.arena().store(keys);
+      sim::Message m(ctx.pool());
+      m.kind = sim::MsgKind::kApp;
+      m.lbs.assign_blocks(refs, keys.size());
+      ctx.send(peer, std::move(m));
+      auto r = co_await ctx.recv(peer);
+      EXPECT_TRUE(r.ok);
+      EXPECT_EQ(r.msg.lbs.size(), refs.size() * keys.size());
+      ctx.account_recv(r.msg);
+    }
+  };
+  machine.run(program);
+  const std::size_t chunks = machine.arena().chunk_count();
+  EXPECT_GT(chunks, 1u);  // 8 nodes x 64 blocks x 512 keys span chunks
+  std::uint64_t steady = ~std::uint64_t{0};
+  for (int cycle = 0; cycle < 8 && steady != 0; ++cycle) {
+    machine.reset();
+    steady = allocs_during([&] { machine.run(program); });
+  }
+  EXPECT_EQ(steady, 0u) << "a reset arena must serve the next run";
+  EXPECT_EQ(machine.arena().chunk_count(), chunks);
 }
 
 // Every kernel on every executable dispatch path is steady-state

@@ -168,5 +168,41 @@ TEST(WireMessage, EncodeDecodeRoundTrip) {
                               pool, bad));
 }
 
+// A block-form LBS slice (sim/blocks.h) encodes to exactly the bytes of the
+// same keys in contiguous form, and decodes to contiguous form: the wire
+// format does not know about block sharing.
+TEST(WireMessage, BlockSliceEncodesAsItsKeys) {
+  sim::KeyPool pool;
+  sim::BlockArena arena;
+  const std::vector<sim::Key> keys{7, 8, -9, 10, 11, 12};
+  std::vector<const sim::Key*> refs;
+  for (std::size_t k = 0; k < 3; ++k)
+    refs.push_back(arena.store(std::span<const sim::Key>(keys).subspan(2 * k, 2)));
+
+  sim::Message blocks(pool), flat(pool);
+  for (sim::Message* m : {&blocks, &flat}) {
+    m->kind = sim::MsgKind::kLbsOnly;
+    m->from = 5;
+    m->stage = 3;
+    m->iter = 0;
+    m->arrival = 4.25;
+    m->data.assign({1});
+  }
+  blocks.lbs.assign_blocks(refs, 2);
+  flat.lbs.assign(keys.begin(), keys.end());
+
+  std::vector<unsigned char> from_blocks, from_flat;
+  encode_message(blocks, from_blocks);
+  encode_message(flat, from_flat);
+  EXPECT_EQ(from_blocks, from_flat);
+  EXPECT_TRUE(blocks.lbs.shares_blocks()) << "encoding is a const read";
+
+  sim::Message out(pool);
+  ASSERT_TRUE(decode_message(from_blocks, pool, out));
+  EXPECT_FALSE(out.lbs.shares_blocks());
+  EXPECT_EQ(out.lbs, keys);
+  EXPECT_EQ(out.words(), blocks.words());
+}
+
 }  // namespace
 }  // namespace aoft::transport
