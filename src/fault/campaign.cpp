@@ -267,10 +267,8 @@ struct SlotKind {
 // the run's own cost model).  Machine::reset makes the machine observably
 // identical to a fresh one, so leasing never shows in results or traces —
 // it only removes the per-scenario construction and teardown of 2^dim
-// channel/context sets from the hot path.  Returns nullptr when reuse is
-// disabled, which makes the sorts fall back to a machine per run.
-sim::Machine* lease_machine(int dim, bool reuse) {
-  if (!reuse) return nullptr;
+// channel/context sets from the hot path.
+sim::Machine* lease_machine(int dim) {
   thread_local std::unique_ptr<sim::Machine> machine;
   thread_local int machine_dim = -1;
   if (machine_dim != dim) {
@@ -297,7 +295,7 @@ Options options_from(const CampaignConfig& cfg, int dim, std::size_t block,
   }
   opts.interceptor = interceptor;
   opts.node_faults = std::move(node_faults);
-  opts.machine = lease_machine(dim, cfg.reuse_machines);
+  opts.machine = lease_machine(dim);
   return opts;
 }
 

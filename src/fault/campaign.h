@@ -159,17 +159,13 @@ struct CampaignConfig {
   // resolved job count actually spins up a pool (jobs != 1); an explicit
   // policy naming an unavailable CPU makes the campaign throw.
   util::PlacementPolicy placement;
-  // Keep one simulated Machine per worker thread, reset() between scenarios,
-  // instead of reconstructing channels/contexts per attempt.  A reset machine
-  // is observably identical to a fresh one, so results and traces do not
-  // depend on this flag; it exists so bench/campaign_throughput can measure
-  // the unpooled construct-per-scenario baseline from the same binary.
-  bool reuse_machines = true;
-  // How many consecutive slots a pool worker claims per grab (>= 1).  Batching
-  // extends reuse_machines: a worker runs `scenario_batch` scenarios back to
-  // back on its leased machine, so machine state, key pools and the kernel
-  // dispatch table stay cache-hot between scenarios instead of being evicted
-  // by another worker's claim bouncing the shared counter line.  Like jobs and
+  // How many consecutive slots a pool worker claims per grab (>= 1).  Every
+  // worker keeps one simulated Machine, reset() between scenarios (a reset
+  // machine is observably identical to a fresh one); batching extends that
+  // reuse: a worker runs `scenario_batch` scenarios back to back on its
+  // leased machine, so machine state, key pools and the kernel dispatch
+  // table stay cache-hot between scenarios instead of being evicted by
+  // another worker's claim bouncing the shared counter line.  Like jobs and
   // placement this is execution metadata: slots still land in disjoint
   // pre-sized vectors and aggregate in (class, slot) order, so summaries,
   // streams and traces are bit-identical for every batch size — it is

@@ -7,21 +7,16 @@
 // handle protocols hold: acquiring reuses a retired vector's capacity,
 // destroying (or moving-from) returns the storage to its list.  Pooling is
 // invisible to the wire protocol — message contents, cost charges and trace
-// bytes are identical with pooling on or off.
+// bytes do not depend on which storage a buffer reuses (docs/PROTOCOL.md
+// §5 names the tests that pin them).
 //
 // KeyBuf (= PooledVec<Key>) is a contiguous range of Key (begin()/end()
 // return raw pointers), so it converts implicitly to std::span<Key> /
 // std::span<const Key> and slots into the span-based predicate and blockops
 // APIs unchanged.
-//
-// The global set_pooling(false) switch exists for one consumer only:
-// bench/campaign_throughput's before/after columns, which must measure the
-// unpooled baseline from the same binary.  It is not thread-safe to flip
-// while simulations run.
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -33,18 +28,6 @@ namespace aoft::sim {
 // Sort keys.  The paper's experiments sort 32-bit integers; we store keys in
 // 64 bits so adversaries can also inject out-of-universe values.
 using Key = std::int64_t;
-
-namespace detail {
-inline std::atomic<bool> g_pooling{true};
-}  // namespace detail
-
-// Runtime pooling toggle (benchmark baseline only; flip while idle).
-inline void set_pooling(bool on) {
-  detail::g_pooling.store(on, std::memory_order_relaxed);
-}
-inline bool pooling_enabled() {
-  return detail::g_pooling.load(std::memory_order_relaxed);
-}
 
 // Free list of retired vectors.  Not thread-safe: each Machine owns one
 // pool and a Machine is single-threaded by construction.
@@ -61,7 +44,7 @@ class FreeList {
   }
 
   void release(std::vector<T>&& v) {
-    if (!pooling_enabled() || v.capacity() == 0) return;
+    if (v.capacity() == 0) return;
     if (free_.size() >= kMaxFree) return;  // let the excess free normally
     v.clear();
     free_.push_back(std::move(v));

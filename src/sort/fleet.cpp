@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -13,6 +14,13 @@ namespace aoft::sort {
 namespace {
 
 void validate(const FleetJob& job) {
+  if (job.backend == transport::Backend::kSim) {
+    if (job.machine != nullptr &&
+        job.machine->topo().dimension() != job.head.dim)
+      throw std::invalid_argument(
+          "the `machine` option's topology dimension does not match the sort");
+    return;
+  }
   const std::string fabric = transport::to_string(job.backend);
   if (job.machine)
     throw std::invalid_argument(
@@ -135,19 +143,35 @@ void merge(cube::NodeId p, const transport::NodeResult& r, std::size_t m,
   for (const auto& w : r.events) run.link_events.push_back(from_wire(w));
 }
 
-}  // namespace
+// The in-process placement: every node and the host on one machine, the
+// caller's (reset with the job's cost model) or a fresh one.
+SortRun run_in_process(const FleetJob& job, const NodeProgram& program) {
+  std::optional<sim::Machine> owned;
+  sim::Machine* mach = job.machine;
+  if (mach != nullptr)
+    mach->reset(job.head.cost);
+  else
+    mach = &owned.emplace(cube::Topology{job.head.dim}, job.head.cost);
+  mach->set_interceptor(program.interceptor);
+  mach->record_link_events(job.head.record_events != 0);
+  mach->run(program.node, program.host);
 
-SortRun run_fleet(const FleetJob& job, const NodeProgram& program) {
-  validate(job);
-  if (program.begin) program.begin();
+  SortRun run;
+  run.output = std::move(*program.output);
+  run.errors = mach->errors();
+  run.summary = mach->summary();
+  if (job.head.record_events) run.link_events = mach->link_events();
+  return run;
+}
+
+// The fabric placement: spawn, run the host program against the host link,
+// await, then merge every node's record.
+SortRun run_on_fabric(const FleetJob& job, const NodeProgram& program,
+                      transport::Fleet& fleet) {
   const int dim = job.head.dim;
   const cube::NodeId n = cube::NodeId{1} << dim;
   const auto m = static_cast<std::size_t>(job.head.block);
-  program.output->assign(static_cast<std::size_t>(n) * m, 0);
-  const auto faults = wire_faults(job.faults, n);
-  auto fleet = transport::make_fleet(job.backend, job.head, faults, job.input,
-                                     job.llbs, job.shm, job.tcp);
-  fleet->start([&program](transport::NodePort& port) {
+  fleet.start([&program](transport::NodePort& port) {
     return run_child(port, program);
   });
 
@@ -156,22 +180,50 @@ SortRun run_fleet(const FleetJob& job, const NodeProgram& program) {
     // The parent is the reliable host: the same host coroutine as the sim,
     // pumping the host link, reaping children from the idle path.
     sim::Machine hostm(cube::Topology{dim}, job.head.cost);
-    hostm.attach_remote(&fleet->host_link(), transport::kHostRole);
+    hostm.attach_remote(&fleet.host_link(), transport::kHostRole);
     hostm.run_remote_host(program.host);
-    fleet->await();
+    fleet.await();
     run.summary.host_comm = hostm.host_stats().comm_ticks;
     run.summary.host_comp = hostm.host_stats().comp_ticks;
     run.summary.elapsed = hostm.host_stats().clock;
   } else {
-    fleet->await();
+    fleet.await();
   }
 
   run.output.assign(static_cast<std::size_t>(n) * m, 0);
-  for (cube::NodeId p = 0; p < n; ++p) merge(p, fleet->result(p), m, run);
+  for (cube::NodeId p = 0; p < n; ++p) merge(p, fleet.result(p), m, run);
   std::sort(run.link_events.begin(), run.link_events.end(),
             sim::link_event_before);
   return run;
 }
+
+}  // namespace
+
+SortRun run_fleet(const FleetJob& job, const NodeProgram& program) {
+  return detail::run_fleet(
+      job, program, [&job](std::span<const transport::WireFault> faults) {
+        return transport::make_fleet(job.backend, job.head, faults, job.input,
+                                     job.llbs, job.shm, job.tcp);
+      });
+}
+
+namespace detail {
+
+SortRun run_fleet(const FleetJob& job, const NodeProgram& program,
+                  const MakeFleet& make) {
+  validate(job);
+  if (program.begin) program.begin();
+  const cube::NodeId n = cube::NodeId{1} << job.head.dim;
+  program.output->assign(static_cast<std::size_t>(n) * job.head.block, 0);
+  if (job.backend == transport::Backend::kSim)
+    return run_in_process(job, program);
+  // The fabric may read the rows until the run ends (tcp sends them at start).
+  const auto faults = wire_faults(job.faults, n);
+  const auto fleet = make(faults);
+  return run_on_fabric(job, program, *fleet);
+}
+
+}  // namespace detail
 
 int run_child(transport::NodePort& port, const NodeProgram& program) {
   const cube::NodeId p = port.node();

@@ -7,6 +7,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "sort/fleet.h"
+
 namespace aoft::sort {
 
 namespace {
@@ -78,17 +80,13 @@ SortRun run_host_sort(int dim, std::span<const Key> input,
   sh.dim = dim;
   sh.m = opts.block;
   sh.input.assign(input.begin(), input.end());
-  sh.output.assign(input.size(), 0);
 
-  sim::Machine machine(cube::Topology{dim}, opts.cost);
-  machine.run([&sh](sim::Ctx& ctx) { return host_sort_node(ctx, sh); },
-              [&sh](sim::HostCtx& host) { return host_sort_host(host, sh); });
-
-  SortRun run;
-  run.output = std::move(sh.output);
-  run.errors = machine.errors();
-  run.summary = machine.summary();
-  return run;
+  NodeProgram prog;
+  prog.node = [&sh](sim::Ctx& ctx) { return host_sort_node(ctx, sh); };
+  prog.host = [&sh](sim::HostCtx& host) { return host_sort_host(host, sh); };
+  prog.output = &sh.output;
+  return run_fleet({.head = {.dim = dim, .block = sh.m, .cost = opts.cost}},
+                   prog);
 }
 
 }  // namespace aoft::sort

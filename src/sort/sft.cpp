@@ -3,8 +3,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <optional>
-#include <stdexcept>
 
 #include "hypercube/masks.h"
 #include "obs/sink.h"
@@ -599,7 +597,7 @@ std::vector<StageCheckpoint> certify_checkpoints(const SftShared& sh) {
   return out;
 }
 
-// ---- multi-process backends ------------------------------------------------
+// ---- the run, on every backend ---------------------------------------------
 
 NodeProgram sft_program(SftShared& sh) {
   NodeProgram prog;
@@ -611,7 +609,7 @@ NodeProgram sft_program(SftShared& sh) {
   return prog;
 }
 
-// Certification and the closing trace lines, shared by every backend.
+// Certification and the closing trace lines.
 void seal_run(const SftShared& sh, SortRun& run) {
   if (sh.opts.checkpoint) run.checkpoints = certify_checkpoints(sh);
   if (auto* tr = obs::tracer()) {
@@ -624,7 +622,7 @@ void seal_run(const SftShared& sh, SortRun& run) {
   }
 }
 
-SortRun run_sft_fleet(int dim, SftShared& sh) {
+SortRun run_sft_impl(int dim, SftShared& sh) {
   const FleetJob job{
       .head = {.dim = dim,
                .start_stage = sh.start_stage,
@@ -644,7 +642,7 @@ SortRun run_sft_fleet(int dim, SftShared& sh) {
       .backend = sh.opts.backend,
       .shm = sh.opts.shm,
       .tcp = sh.opts.tcp,
-      .machine = sh.opts.machine != nullptr,
+      .machine = sh.opts.machine,
       .observer = static_cast<bool>(sh.opts.observer)};
   NodeProgram prog = sft_program(sh);
   prog.begin = [&sh, dim] {
@@ -653,42 +651,6 @@ SortRun run_sft_fleet(int dim, SftShared& sh) {
                   dim, static_cast<std::int64_t>(sh.m));
   };
   SortRun run = run_fleet(job, prog);
-  seal_run(sh, run);
-  return run;
-}
-
-SortRun run_sft_impl(int dim, SftShared& sh) {
-  if (sh.opts.backend != transport::Backend::kSim) return run_sft_fleet(dim, sh);
-  sh.output.assign(sh.input.size(), 0);
-  // Run on the caller's machine when provided (reset() keeps its pool and
-  // channel storage warm across campaign scenarios); construct one otherwise.
-  std::optional<sim::Machine> owned;
-  sim::Machine* machine = sh.opts.machine;
-  if (machine != nullptr) {
-    if (machine->topo().dimension() != dim)
-      throw std::invalid_argument(
-          "SftOptions::machine topology dimension does not match the sort");
-    machine->reset(sh.opts.cost);
-  } else {
-    owned.emplace(cube::Topology{dim}, sh.opts.cost);
-    machine = &*owned;
-  }
-  machine->set_interceptor(sh.opts.interceptor);
-  machine->record_link_events(sh.opts.record_link_events);
-  if (auto* tr = obs::tracer())
-    tr->instant(obs::Ev::kRunBegin, obs::kGlobal, sh.start_stage, -1, 0.0, dim,
-                static_cast<std::int64_t>(sh.m));
-  if (sh.opts.checkpoint)
-    machine->run([&sh](sim::Ctx& ctx) { return sft_node(ctx, sh); },
-                 [&sh](sim::HostCtx& host) { return ckpt_collector(host, sh); });
-  else
-    machine->run([&sh](sim::Ctx& ctx) { return sft_node(ctx, sh); });
-
-  SortRun run;
-  run.output = std::move(sh.output);
-  run.errors = machine->errors();
-  run.summary = machine->summary();
-  if (sh.opts.record_link_events) run.link_events = machine->link_events();
   seal_run(sh, run);
   return run;
 }

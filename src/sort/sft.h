@@ -85,15 +85,17 @@ struct SftOptions {
 
   // Run on this caller-owned machine instead of constructing one: the machine
   // is reset() first (its key pool and channel storage stay warm), and its
-  // topology dimension must match the sort's `dim`.  The campaign engine
-  // keeps one machine per worker thread this way.  Owned by the caller; must
-  // outlive the run.
+  // topology dimension must match the sort's `dim` (std::invalid_argument
+  // otherwise).  The campaign engine keeps one machine per worker thread this
+  // way.  Owned by the caller; must outlive the run.
   sim::Machine* machine = nullptr;
 
-  // Which fabric carries the cube (docs/PROTOCOL.md §11).  kSim is the
-  // deterministic single-process oracle; kShm runs one OS process per node
-  // over shared-memory rings and must reproduce the oracle's sorted output
-  // and fail-stop verdicts for identical fault scripts.  kShm rejects
+  // Which fabric carries the cube (docs/PROTOCOL.md §11).  Every backend runs
+  // through the one lifecycle of sort/fleet.h.  kSim is its in-process
+  // placement, the deterministic single-process oracle; kShm runs one OS
+  // process per node over shared-memory rings and must reproduce the
+  // oracle's sorted output and fail-stop verdicts for identical fault
+  // scripts.  kShm rejects
   // `observer` and `machine` (both are in-process affordances a forked child
   // cannot share back) and wedge_process faults (sort/fleet.h), and is
   // limited to dim <= transport::kMaxProcessDim.

@@ -7,8 +7,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <optional>
-#include <stdexcept>
 
 #include "hypercube/subcube.h"
 #include "sort/blockops.h"
@@ -26,7 +24,7 @@ struct SnrShared {
   fault::NodeFaultMap node_faults;
   int dim = 0;
   bool with_host = false;  // host-verified variant: gather + Theorem-1 check
-  sim::LinkInterceptor* interceptor = nullptr;  // carried for fork children
+  sim::LinkInterceptor* interceptor = nullptr;  // Byzantine links
   std::span<const Key> input;  // view into caller storage, alive for the run
   std::vector<Key> output;
 
@@ -212,17 +210,11 @@ sim::SimTask verify_host(sim::HostCtx& host, SnrShared& sh) {
   co_return;
 }
 
-SortRun finish(sim::Machine& machine, SnrShared& sh) {
-  SortRun run;
-  run.output = std::move(sh.output);
-  run.errors = machine.errors();
-  run.summary = machine.summary();
-  return run;
-}
-
 NodeProgram snr_program(SnrShared& sh) {
   NodeProgram prog;
   prog.node = [&sh](sim::Ctx& ctx) { return snr_node(ctx, sh); };
+  if (sh.with_host)
+    prog.host = [&sh](sim::HostCtx& host) { return verify_host(host, sh); };
   prog.output = &sh.output;
   prog.interceptor = sh.interceptor;
   return prog;
@@ -239,35 +231,17 @@ SortRun run_snr(int dim, std::span<const Key> input, const SnrOptions& opts) {
   sh.dim = dim;
   sh.interceptor = opts.interceptor;
   sh.input = input;
-
-  if (opts.backend != transport::Backend::kSim)
-    return run_fleet({.head = {.dim = dim,
-                               .block = sh.m,
-                               .algo = 1,
-                               .cost = sh.cost},
-                      .input = input,
-                      .faults = sh.node_faults,
-                      .backend = opts.backend,
-                      .shm = opts.shm,
-                      .tcp = opts.tcp,
-                      .machine = opts.machine != nullptr},
-                     snr_program(sh));
-  sh.output.assign(input.size(), 0);
-
-  std::optional<sim::Machine> owned;
-  sim::Machine* machine = opts.machine;
-  if (machine != nullptr) {
-    if (machine->topo().dimension() != dim)
-      throw std::invalid_argument(
-          "SnrOptions::machine topology dimension does not match the sort");
-    machine->reset(opts.cost);
-  } else {
-    owned.emplace(cube::Topology{dim}, opts.cost);
-    machine = &*owned;
-  }
-  machine->set_interceptor(opts.interceptor);
-  machine->run([&sh](sim::Ctx& ctx) { return snr_node(ctx, sh); });
-  return finish(*machine, sh);
+  return run_fleet({.head = {.dim = dim,
+                             .block = sh.m,
+                             .algo = 1,
+                             .cost = sh.cost},
+                    .input = input,
+                    .faults = sh.node_faults,
+                    .backend = opts.backend,
+                    .shm = opts.shm,
+                    .tcp = opts.tcp,
+                    .machine = opts.machine},
+                   snr_program(sh));
 }
 
 SortRun run_host_verified_snr(int dim, std::span<const Key> input,
@@ -279,14 +253,10 @@ SortRun run_host_verified_snr(int dim, std::span<const Key> input,
   sh.node_faults = opts.node_faults;
   sh.dim = dim;
   sh.with_host = true;
+  sh.interceptor = opts.interceptor;
   sh.input = input;
-  sh.output.assign(input.size(), 0);
-
-  sim::Machine machine(cube::Topology{dim}, opts.cost);
-  machine.set_interceptor(opts.interceptor);
-  machine.run([&sh](sim::Ctx& ctx) { return snr_node(ctx, sh); },
-              [&sh](sim::HostCtx& host) { return verify_host(host, sh); });
-  return finish(machine, sh);
+  return run_fleet({.head = {.dim = dim, .block = sh.m, .cost = sh.cost}},
+                   snr_program(sh));
 }
 
 namespace detail {

@@ -34,8 +34,9 @@ struct SnrOptions {
   // first; dimension must match).  See SftOptions::machine.
   sim::Machine* machine = nullptr;
 
-  // Transport selection, as in SftOptions: kShm/kTcp reject `machine` and
-  // run one process per node.  The host-verified variant stays sim-only.
+  // Transport selection, as in SftOptions: one lifecycle (sort/fleet.h),
+  // kSim in process, kShm/kTcp rejecting `machine` and running one process
+  // per node.  The host-verified variant stays in process.
   transport::Backend backend = transport::Backend::kSim;
   transport::ShmOptions shm;
   transport::TcpOptions tcp;

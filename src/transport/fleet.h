@@ -145,7 +145,9 @@ class Fleet {
 };
 
 // Stage `job` on the chosen multi-process fabric (kShm or kTcp).  `faults`
-// holds one row per node; `llbs` is read only when job.with_resume.
+// holds one row per node; `llbs` is read only when job.with_resume.  The
+// three spans must outlive the fleet: kShm copies them into its segment
+// here, but kTcp keeps the views and sends them in CONFIG from start().
 std::unique_ptr<Fleet> make_fleet(Backend backend, const JobHead& job,
                                   std::span<const WireFault> faults,
                                   std::span<const sim::Key> input,

@@ -36,15 +36,6 @@ TEST(KeyPoolTest, ReleaseIgnoresEmptyCapacity) {
   EXPECT_EQ(pool.free_count(), 0u);
 }
 
-TEST(KeyPoolTest, DisabledPoolingDropsReleases) {
-  KeyPool pool;
-  set_pooling(false);
-  std::vector<Key> v(8, 1);
-  pool.release(std::move(v));
-  set_pooling(true);
-  EXPECT_EQ(pool.free_count(), 0u);
-}
-
 TEST(KeyBufTest, DestructionReturnsStorageToPool) {
   KeyPool pool;
   {

@@ -2,7 +2,7 @@
 // machine must be *observably identical* to running it on a fresh one —
 // output, error reports, cost summary, link-event log, and the serialized
 // observability trace, byte for byte.  The campaign engine leans on this to
-// keep one machine per worker thread (CampaignConfig::reuse_machines).
+// keep one machine per worker thread (lease_machine, fault/campaign.cpp).
 
 #include <gtest/gtest.h>
 
@@ -136,6 +136,8 @@ TEST(SftReuseTest, BlockRunsWithDifferentSizesShareAMachine) {
   }
 }
 
+// The refusal comes before the machine is reset or run: a fresh machine
+// stays unrun, and a used one keeps its last run.
 TEST(SftReuseTest, DimensionMismatchThrows) {
   sim::Machine machine(cube::Topology{3}, sim::CostModel{});
   auto input = util::random_keys(1, 16);
@@ -146,6 +148,16 @@ TEST(SftReuseTest, DimensionMismatchThrows) {
   SnrOptions snr_opts;
   snr_opts.machine = &machine;
   EXPECT_THROW((void)run_snr(4, input, snr_opts), std::invalid_argument);
+  EXPECT_FALSE(machine.ran());
+
+  opts.record_link_events = true;
+  (void)run_sft(3, std::span<const Key>(input).first(8), opts);
+  const std::size_t events = machine.link_events().size();
+  ASSERT_GT(events, 0u);
+  EXPECT_THROW((void)run_sft(4, input, opts), std::invalid_argument);
+  EXPECT_THROW((void)run_snr(4, input, snr_opts), std::invalid_argument);
+  EXPECT_TRUE(machine.ran());
+  EXPECT_EQ(machine.link_events().size(), events);
 }
 
 TEST(SftReuseTest, SnrReuseMatchesFresh) {

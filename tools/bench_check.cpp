@@ -1,7 +1,7 @@
 // bench_check — CI perf gate over BENCH_campaign.json and the campaign
 // durability artifacts, plus the transport oracle cross-check.
 //
-//   bench_check FRESH.json REFERENCE.json [--min-pooling-speedup=F]
+//   bench_check FRESH.json REFERENCE.json
 //              [--stream=SLOTS.jsonl] [--merge-summary=MERGED.json]
 //              [--kernels=BENCH_kernels.json] [--min-kernel-speedup=F]
 //   bench_check --cross-check SIM_RUN.json SHM_RUN.json
@@ -25,16 +25,15 @@
 // three flags also work without the positional FRESH/REFERENCE pair.
 //
 // FRESH is the file campaign_throughput just wrote on this runner; REFERENCE
-// is the one committed at the repo root.  Both must be structurally sound;
-// FRESH additionally gates the merge:
+// is the one committed at the repo root.  Both pass the same gate:
 //
 //   FAIL when  silent_wrong_total != 0         (Theorem 3 violated),
 //              summaries_identical != true     (engine nondeterminism),
 //              a required key is missing or mistyped,
-//              pooling_speedup < the configured floor (default 1.0 — the
-//              pooled hot path must never be slower than the baseline it
-//              replaced; wall-clock-for-wall-clock on the same runner this
-//              is noise-free enough to gate on),
+//              alloc_hook_active is true and allocs_per_scenario exceeds
+//              kMaxAllocsPerNode per node (5 * 2^dim): the pooled hot
+//              path measures 2.5-3.9 allocations per node and scenario at
+//              dims 2-6, the per-message allocation it replaced 20-45,
 //              the speedup/cpus_available contract is broken: hosts with
 //              >= 2 CPUs must report a positive "speedup" number, hosts
 //              with fewer must report "speedup": null plus a
@@ -48,6 +47,7 @@
 //
 // Exit status: 0 = gate passed, 1 = gate failed or file/parse error.
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -79,6 +79,9 @@ bool read_file(const std::string& path, std::string* out) {
   return true;
 }
 
+// The allocs_per_scenario ceiling, per node of the campaign's cube.
+constexpr double kMaxAllocsPerNode = 5.0;
+
 // Required numeric / boolean keys every BENCH_campaign.json must carry.
 constexpr const char* kNumKeys[] = {
     "dim",
@@ -87,11 +90,9 @@ constexpr const char* kNumKeys[] = {
     "cpus_available",
     "numa_nodes",
     "scenarios_executed",
-    "unpooled_seconds",
-    "unpooled_scenarios_per_sec",
     "serial_seconds",
     "serial_scenarios_per_sec",
-    "pooling_speedup",
+    "allocs_per_scenario",
     "parallel_jobs",
     "parallel_seconds",
     "parallel_scenarios_per_sec",
@@ -136,12 +137,24 @@ bool check_file(const char* label, const std::string& path, json::Value* out) {
   bool b = false;
   if (!json::get_bool(o, "alloc_hook_active", b))
     fail(label, "missing or non-boolean key \"alloc_hook_active\"");
+  double dim = 0, allocs = 0;
+  if (b && json::get_num(o, "dim", dim) &&
+      json::get_num(o, "allocs_per_scenario", allocs)) {
+    const double bound =
+        kMaxAllocsPerNode * std::ldexp(1.0, static_cast<int>(dim));
+    if (allocs > bound)
+      fail(label, "allocs_per_scenario " + std::to_string(allocs) +
+                      " exceeds " + std::to_string(bound) + " (" +
+                      std::to_string(kMaxAllocsPerNode) +
+                      " per node) — the campaign hot path allocates per "
+                      "message again");
+  }
 
   if (!json::get_bool(o, "summaries_identical", b))
     fail(label, "missing or non-boolean key \"summaries_identical\"");
   else if (!b)
     fail(label, "summaries_identical is false — campaign engine produced "
-                "different results across pooling/jobs/placement");
+                "different results across jobs/batch/placement/tracing");
 
   if (json::get_num(o, "silent_wrong_total", d) && d != 0)
     fail(label, "silent_wrong_total = " + std::to_string(d) +
@@ -525,7 +538,6 @@ void info_diff(const json::Object& fresh, const json::Object& ref,
 int main(int argc, char** argv) {
   const char* fresh_path = nullptr;
   const char* ref_path = nullptr;
-  double min_pooling = 1.0;
   double min_kernel = 1.0;
   std::vector<std::string> stream_paths;
   std::vector<std::string> merge_paths;
@@ -534,14 +546,7 @@ int main(int argc, char** argv) {
   bool usage_error = false;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (std::strncmp(a, "--min-pooling-speedup=", 22) == 0) {
-      if (!aoft::util::parse_f64(a + 22, min_pooling)) {
-        std::fprintf(stderr, "--min-pooling-speedup: bad value \"%s\"\n",
-                     a + 22);
-        usage_error = true;
-        break;
-      }
-    } else if (std::strncmp(a, "--min-kernel-speedup=", 21) == 0) {
+    if (std::strncmp(a, "--min-kernel-speedup=", 21) == 0) {
       if (!aoft::util::parse_f64(a + 21, min_kernel)) {
         std::fprintf(stderr, "--min-kernel-speedup: bad value \"%s\"\n",
                      a + 21);
@@ -575,8 +580,7 @@ int main(int argc, char** argv) {
                       !kernel_paths.empty());
   if (usage_error || (!artifacts_only && (!fresh_path || !ref_path))) {
     std::fprintf(stderr,
-                 "usage: %s FRESH.json REFERENCE.json "
-                 "[--min-pooling-speedup=F]\n"
+                 "usage: %s FRESH.json REFERENCE.json\n"
                  "       [--stream=SLOTS.jsonl]... "
                  "[--merge-summary=MERGED.json]...\n"
                  "       [--kernels=BENCH_kernels.json]... "
@@ -609,30 +613,19 @@ int main(int argc, char** argv) {
   const bool fresh_ok = check_file("fresh", fresh_path, &fresh_v);
   const bool ref_ok = check_file("reference", ref_path, &ref_v);
 
-  if (fresh_ok) {
-    double d = 0;
-    if (json::get_num(fresh_v.object(), "pooling_speedup", d) &&
-        d < min_pooling)
-      fail("fresh", "pooling_speedup " + std::to_string(d) +
-                        " is below the floor " + std::to_string(min_pooling) +
-                        " — the pooled hot path regressed past its baseline");
-  }
-
   if (fresh_ok && ref_ok) {
     std::printf("informational fresh-vs-reference throughput "
                 "(never gates):\n");
     const auto& f = fresh_v.object();
     const auto& r = ref_v.object();
-    info_diff(f, r, "unpooled_scenarios_per_sec");
     info_diff(f, r, "serial_scenarios_per_sec");
     info_diff(f, r, "parallel_scenarios_per_sec");
-    info_diff(f, r, "pooling_speedup");
+    info_diff(f, r, "allocs_per_scenario");
     info_diff(f, r, "trace_overhead");
   }
 
   if (failures == 0) {
-    std::printf("bench_check: OK (%s vs %s, pooling floor %.2fx)\n",
-                fresh_path, ref_path, min_pooling);
+    std::printf("bench_check: OK (%s vs %s)\n", fresh_path, ref_path);
     return 0;
   }
   std::fprintf(stderr, "bench_check: %d failure(s)\n", failures);
