@@ -6,7 +6,7 @@
 // This harness times the identical campaign several ways:
 //
 //   serial   — jobs=1: one pooled machine per worker, reset between
-//              scenarios,
+//              scenarios, timed after one untimed warm-up campaign,
 //   matrix   — jobs=N under each worker-placement policy (none / compact /
 //              scatter when the host has >= 2 CPUs, plus the --pin policy if
 //              it is an explicit CPU list), so CI artifacts show what
@@ -191,6 +191,10 @@ int main(int argc, char** argv) {
             << ", alloc hook: " << (util::alloc_hook_active() ? "on" : "off")
             << ")\n";
 
+  // One untimed campaign first, so the serial leg, which runs before every
+  // parallel one, is not timed cold (first-touch pools, the main thread's
+  // machine lease) against warm workers.
+  (void)timed_campaign(cfg, 1);
   const auto serial = timed_campaign(cfg, 1);
 
   // Placement matrix: the same parallel campaign under each policy.  On a

@@ -6,15 +6,20 @@
 // so a collection is held as one pointer per owner label and a gossiped
 // window is a pointer copy, not a key copy:
 //
-//   BlockArena — per-Machine bump allocator for immutable m-key blocks, reset
-//                with the machine (chunks are kept, so a reused machine's
-//                arena allocates nothing at steady state);
-//   BlockRefs  — a pooled vector of block pointers (a node's LBS / LLBS);
-//   LbsSlice   — a message's LBS field: either block pointers or one
-//                contiguous key buffer, reading the same either way.
+//   BlockArena  — per-Machine bump allocator for immutable m-key blocks, reset
+//                 with the machine (chunks are kept, so a reused machine's
+//                 arena allocates nothing at steady state);
+//   VerdictMemo — the arena's stage-boundary verdicts (Φ_P, Φ_F), keyed on
+//                 the exact block-pointer lists they were computed from;
+//   BlockRefs   — a pooled vector of block pointers (a node's LBS / LLBS);
+//   LbsSlice    — a message's LBS field: either block pointers or one
+//                 contiguous key buffer, reading the same either way.
 //
 // Block sharing is invisible: message contents, sizes, cost charges, Φ
 // verdicts and trace bytes are exactly those of flat per-node key arrays.
+// Because a stored block never changes before the arena resets, equal
+// pointer lists mean equal keys, so one verdict serves every node of a
+// subcube that hands the predicates the same blocks (docs/PROTOCOL.md §3).
 
 #pragma once
 
@@ -25,8 +30,11 @@
 #include <cstring>
 #include <initializer_list>
 #include <iterator>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -36,6 +44,129 @@ namespace aoft::sim {
 
 // Pooled vector of block pointers.
 using BlockRefs = PooledVec<const Key*>;
+
+// A failed executable assertion (sort/predicates.h), with enough context for
+// the fail-stop diagnostic sent to the host.  Declared beside the arena so
+// the verdict memo can hold it.
+struct Violation {
+  std::string what;        // human-readable cause
+  std::int64_t position;   // flattened index (or node label) it anchors to
+};
+
+// The verdicts of one bit_compare: Φ_P, then Φ_F; nullopt is a pass.
+struct StageVerdicts {
+  std::optional<Violation> progress;
+  std::optional<Violation> feasibility;
+};
+
+// Every input of bit_compare's verdicts besides the block pointers.
+struct VerdictTag {
+  std::size_t m = 0;             // keys per block
+  std::size_t inner_offset = 0;  // the inner window's first entry within outer
+  bool final_stage = false;
+  bool inner_ascending = false;
+  bool check_progress = false;
+  bool check_feasibility = false;
+
+  friend bool operator==(const VerdictTag&, const VerdictTag&) = default;
+};
+
+// One bit_compare input: the LBS blocks of the outer window, the LLBS blocks
+// of the inner window, and the tag.
+struct VerdictKey {
+  std::span<const Key* const> outer;
+  std::span<const Key* const> inner;
+  VerdictTag tag;
+};
+
+// Stage-boundary verdicts, memoized for one machine run.  Valid only while
+// every pointer in a stored key names an unchanged block: BlockArena clears
+// it on reset(), because a rewound arena hands the same addresses out again.
+// The hash only picks the bucket; a hit compares the whole pointer list.
+// Open addressing over vectors that keep their capacity across clear(), so a
+// warm memo allocates nothing.
+class VerdictMemo {
+ public:
+  static std::uint64_t hash(const VerdictKey& k) {
+    std::uint64_t h = (k.tag.m * kMul) ^ k.tag.inner_offset;
+    h = (h * kMul) ^ (std::uint64_t{k.tag.final_stage} |
+                      (std::uint64_t{k.tag.inner_ascending} << 1) |
+                      (std::uint64_t{k.tag.check_progress} << 2) |
+                      (std::uint64_t{k.tag.check_feasibility} << 3) |
+                      (std::uint64_t{k.outer.size()} << 4));
+    for (const auto refs : {k.outer, k.inner})
+      for (const Key* b : refs)
+        h = (h ^ reinterpret_cast<std::uintptr_t>(b)) * kMul;
+    return h ^ (h >> 32);
+  }
+
+  // The verdicts stored under `k`, whose hash is `h`, or nullptr.
+  const StageVerdicts* find(const VerdictKey& k, std::uint64_t h) const {
+    if (slots_.empty()) return nullptr;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t s = h & mask; slots_[s] != 0; s = (s + 1) & mask) {
+      const Entry& e = entries_[slots_[s] - 1];
+      if (e.hash == h && e.tag == k.tag && e.outer == k.outer.size() &&
+          e.inner == k.inner.size() &&
+          std::equal(k.outer.begin(), k.outer.end(), ptrs_.begin() + e.at) &&
+          std::equal(k.inner.begin(), k.inner.end(),
+                     ptrs_.begin() + e.at + e.outer))
+        return &e.verdicts;
+    }
+    return nullptr;
+  }
+
+  // Store `v` under `k` (absent; hash `h`) and return the stored copy, valid
+  // until the next insert().
+  const StageVerdicts& insert(const VerdictKey& k, std::uint64_t h,
+                              StageVerdicts v) {
+    if (2 * (entries_.size() + 1) > slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t s = h & mask;
+    while (slots_[s] != 0) s = (s + 1) & mask;
+    slots_[s] = static_cast<std::uint32_t>(entries_.size() + 1);
+    entries_.push_back(
+        {h, k.tag, ptrs_.size(), k.outer.size(), k.inner.size(), std::move(v)});
+    ptrs_.insert(ptrs_.end(), k.outer.begin(), k.outer.end());
+    ptrs_.insert(ptrs_.end(), k.inner.begin(), k.inner.end());
+    return entries_.back().verdicts;
+  }
+
+  void clear() {
+    std::fill(slots_.begin(), slots_.end(), 0u);
+    entries_.clear();
+    ptrs_.clear();
+  }
+
+  std::size_t size() const { return entries_.size(); }
+
+ private:
+  static constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+
+  struct Entry {
+    std::uint64_t hash;
+    VerdictTag tag;
+    std::size_t at;     // the key's first pointer in ptrs_
+    std::size_t outer;  // pointers of the outer list, then of the inner one
+    std::size_t inner;
+    StageVerdicts verdicts;
+  };
+
+  // Double the table (64 slots at first) and re-place every entry.
+  void grow() {
+    slots_.assign(std::max<std::size_t>(64, 2 * slots_.size()), 0u);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      std::size_t s = entries_[i].hash & mask;
+      while (slots_[s] != 0) s = (s + 1) & mask;
+      slots_[s] = static_cast<std::uint32_t>(i + 1);
+    }
+  }
+
+  std::vector<const Key*> ptrs_;       // every stored key's pointers, in order
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> slots_;   // entry index + 1, 0 = free; size 2^k
+};
 
 // Bump allocator for immutable key blocks.  A stored block stays valid and
 // unchanged until reset(); reset() rewinds without freeing, so the same
@@ -82,9 +213,15 @@ class BlockArena {
     return {s.data(), n};
   }
 
+  // Verdicts of the stage-boundary checks run over this arena's blocks.
+  VerdictMemo& verdicts() { return verdicts_; }
+
+  // Rewinds the chunks and clears the verdict memo, whose keys name blocks
+  // the next run will overwrite.
   void reset() {
     cur_ = 0;
     used_ = 0;
+    verdicts_.clear();
   }
 
   std::size_t chunk_count() const { return chunks_.size(); }
@@ -101,6 +238,7 @@ class BlockArena {
   std::size_t used_ = 0;  // keys handed out from chunks_[cur_]
   std::vector<Key> zeros_;
   std::vector<Key> scratch_[2];
+  VerdictMemo verdicts_;
 };
 
 // Flatten `blocks` (m keys each) into out[0, blocks.size() * m).

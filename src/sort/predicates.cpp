@@ -15,10 +15,9 @@ namespace {
 // position of their own; the caller (sort/sft.cpp) binds (node, stage, iter,
 // clock) via ScopedPredContext around the call.  With no sink bound this is a
 // thread-local load and a branch.
-std::optional<Violation> record_verdict(obs::Ev kind, obs::Counter pass_c,
-                                        obs::Counter fail_c,
-                                        std::optional<Violation> v) {
-  if (!obs::active()) return v;
+void report_verdict(obs::Ev kind, obs::Counter pass_c, obs::Counter fail_c,
+                    const std::optional<Violation>& v) {
+  if (!obs::active()) return;
   const auto& at = obs::pred_context();
   if (auto* me = obs::metrics()) {
     me->inc(v ? fail_c : pass_c);
@@ -27,6 +26,12 @@ std::optional<Violation> record_verdict(obs::Ev kind, obs::Counter pass_c,
   if (auto* tr = obs::tracer())
     tr->instant(kind, at.node, at.stage, at.iter, at.clock, v ? 0 : 1,
                 v ? v->position : 0, v ? v->what : std::string{});
+}
+
+std::optional<Violation> record_verdict(obs::Ev kind, obs::Counter pass_c,
+                                        obs::Counter fail_c,
+                                        std::optional<Violation> v) {
+  report_verdict(kind, pass_c, fail_c, v);
   return v;
 }
 
@@ -42,9 +47,7 @@ std::optional<Violation> check_run(std::span<const Key> v, std::size_t lo,
 
 }  // namespace
 
-namespace {
-
-std::optional<Violation> phi_p_eval(std::span<const Key> window_vals,
+std::optional<Violation> eval_phi_p(std::span<const Key> window_vals,
                                     bool final_stage) {
   if (final_stage)
     return check_run(window_vals, 0, window_vals.size(), true, "ascending(final)");
@@ -53,17 +56,18 @@ std::optional<Violation> phi_p_eval(std::span<const Key> window_vals,
   return check_run(window_vals, mid, window_vals.size(), false, "descending");
 }
 
-}  // namespace
-
-std::optional<Violation> phi_p(std::span<const Key> window_vals, bool final_stage) {
-  return record_verdict(obs::Ev::kPhiP, obs::Counter::kPhiPPass,
-                        obs::Counter::kPhiPFail,
-                        phi_p_eval(window_vals, final_stage));
+void record_phi_p(const std::optional<Violation>& verdict) {
+  report_verdict(obs::Ev::kPhiP, obs::Counter::kPhiPPass,
+                 obs::Counter::kPhiPFail, verdict);
 }
 
-namespace {
+std::optional<Violation> phi_p(std::span<const Key> window_vals, bool final_stage) {
+  auto v = eval_phi_p(window_vals, final_stage);
+  record_phi_p(v);
+  return v;
+}
 
-std::optional<Violation> phi_f_eval(std::span<const Key> llbs_inner,
+std::optional<Violation> eval_phi_f(std::span<const Key> llbs_inner,
                                     std::span<const Key> lbs_inner,
                                     bool ascending) {
   assert(llbs_inner.size() == lbs_inner.size());
@@ -78,13 +82,16 @@ std::optional<Violation> phi_f_eval(std::span<const Key> llbs_inner,
   return Violation{"phi_F: sequence not complete w.r.t. previous stage", idx};
 }
 
-}  // namespace
+void record_phi_f(const std::optional<Violation>& verdict) {
+  report_verdict(obs::Ev::kPhiF, obs::Counter::kPhiFPass,
+                 obs::Counter::kPhiFFail, verdict);
+}
 
 std::optional<Violation> phi_f(std::span<const Key> llbs_inner,
                                std::span<const Key> lbs_inner, bool ascending) {
-  return record_verdict(obs::Ev::kPhiF, obs::Counter::kPhiFPass,
-                        obs::Counter::kPhiFFail,
-                        phi_f_eval(llbs_inner, lbs_inner, ascending));
+  auto v = eval_phi_f(llbs_inner, lbs_inner, ascending);
+  record_phi_f(v);
+  return v;
 }
 
 namespace {

@@ -25,6 +25,12 @@
 // (m keys per node, paper §5) reuses the same code: a window of 2^{i+1} nodes
 // with m keys each is a flat span of 2^{i+1}·m keys, and every predicate
 // "scales by m" exactly as the paper states.
+//
+// Φ_P and Φ_F come in two halves.  eval_phi_p / eval_phi_f compute a verdict
+// and nothing else; record_phi_p / record_phi_f report a verdict to the bound
+// observability sink.  phi_p / phi_f do both.  S_FT evaluates a stage
+// boundary's verdicts once per distinct input (sim::VerdictMemo) and records
+// them once per node, so traces and metrics count every node's check.
 
 #pragma once
 
@@ -43,12 +49,8 @@ namespace aoft::sort {
 
 using util::BitVec;
 
-// A failed executable assertion, with enough context for the fail-stop
-// diagnostic sent to the host.
-struct Violation {
-  std::string what;        // human-readable cause
-  std::int64_t position;   // flattened index (or node label) it anchors to
-};
+// A failed executable assertion (declared in sim/blocks.h).
+using sim::Violation;
 
 // --- Φ_P: progress -----------------------------------------------------------
 
@@ -57,6 +59,9 @@ struct Violation {
 // non-increasing.  With `final_stage` the whole window must be non-decreasing
 // (the paper's "i != n" guard in Fig. 4a).
 std::optional<Violation> phi_p(std::span<const Key> window_vals, bool final_stage);
+std::optional<Violation> eval_phi_p(std::span<const Key> window_vals,
+                                    bool final_stage);
+void record_phi_p(const std::optional<Violation>& verdict);
 
 // --- Φ_F: feasibility --------------------------------------------------------
 
@@ -68,6 +73,10 @@ std::optional<Violation> phi_p(std::span<const Key> window_vals, bool final_stag
 // interchangeable.
 std::optional<Violation> phi_f(std::span<const Key> llbs_inner,
                                std::span<const Key> lbs_inner, bool ascending);
+std::optional<Violation> eval_phi_f(std::span<const Key> llbs_inner,
+                                    std::span<const Key> lbs_inner,
+                                    bool ascending);
+void record_phi_f(const std::optional<Violation>& verdict);
 
 // --- Φ_C: consistency --------------------------------------------------------
 

@@ -167,6 +167,32 @@ struct NodeState {
     return true;
   }
 
+  // bit_compare's verdicts on this node's views: Φ_P over the outer LBS
+  // window, then Φ_F over the inner one against LLBS.  With `both` false a
+  // failing Φ_P ends the evaluation, since an honest node never reads Φ_F
+  // after it.  The kernels read contiguous keys, so the views are flattened
+  // into the machine-wide scratch; no coroutine suspends before the verdicts
+  // are out, so the scratch is this node's for the duration.
+  sim::StageVerdicts evaluate(const cube::Subcube& outer,
+                              const cube::Subcube& inner, bool inner_ascending,
+                              bool final_stage, bool both) const {
+    const std::size_t m = sh->m;
+    sim::StageVerdicts v;
+    const auto lbs_outer = gather(0, lbs, outer);
+    if (sh->opts.check_progress) {
+      v.progress = eval_phi_p(lbs_outer, final_stage);
+      if (v.progress && !both) return v;
+    }
+    if (sh->opts.check_feasibility) {
+      const auto lbs_inner = lbs_outer.subspan(
+          static_cast<std::size_t>(inner.start - outer.start) * m,
+          static_cast<std::size_t>(inner.size()) * m);
+      v.feasibility =
+          eval_phi_f(gather(1, llbs, inner), lbs_inner, inner_ascending);
+    }
+    return v;
+  }
+
   // bit_compare at a stage boundary (paper Fig. 3 / Lemma 4), honouring the
   // ablation toggles.  Returns false after signalling.
   bool verify_stage(const cube::Subcube& outer, const cube::Subcube& inner,
@@ -174,26 +200,48 @@ struct NodeState {
     const std::size_t m = sh->m;
     const auto& cm = sh->opts.cost;
     if (!sh->opts.check_progress && !sh->opts.check_feasibility) return true;
-    // The kernels read contiguous keys: flatten this node's own view of the
-    // outer window once (inner lies inside it) and, for Φ_F, its LLBS view of
-    // the inner window.  No coroutine suspends before both checks finish, so
-    // the machine-wide scratch is this node's for the duration.
-    const auto lbs_outer = gather(0, lbs, outer);
+    // Every member of a subcube that holds the same blocks gets the same
+    // verdicts, so they are evaluated once per machine run and per distinct
+    // input (docs/PROTOCOL.md §3).  At m = 1 a block pointer is as long as
+    // the key it names: comparing the pointer lists costs what the scan
+    // does, so the memo is consulted only from m = 2 on.
+    sim::StageVerdicts fresh;
+    const sim::StageVerdicts* v = &fresh;
+    if (m >= 2) {
+      auto& memo = ctx->arena().verdicts();
+      const sim::VerdictKey key{
+          window_refs(lbs, outer), window_refs(llbs, inner),
+          {.m = m,
+           .inner_offset = static_cast<std::size_t>(inner.start - outer.start),
+           .final_stage = final_stage,
+           .inner_ascending = inner_ascending,
+           .check_progress = sh->opts.check_progress,
+           .check_feasibility = sh->opts.check_feasibility}};
+      const std::uint64_t h = sim::VerdictMemo::hash(key);
+      v = memo.find(key, h);
+      if (v == nullptr)
+        v = &memo.insert(key, h,
+                         evaluate(outer, inner, inner_ascending, final_stage,
+                                  /*both=*/true));
+    } else {
+      fresh = evaluate(outer, inner, inner_ascending, final_stage,
+                       /*both=*/silent);
+    }
+    // Charge and report every node's own check, hit or not.
     obs::ScopedPredContext at(ctx->id(), i, -1, ctx->clock());
     if (sh->opts.check_progress) {
       ctx->charge(cm.cmp * static_cast<double>(outer.size() * m));
-      if (auto v = phi_p(lbs_outer, final_stage)) {
-        if (flag({0, i, -1, source_of(*v), v->what})) return false;
-      }
+      record_phi_p(v->progress);
+      if (v->progress && flag({0, i, -1, source_of(*v->progress),
+                               v->progress->what}))
+        return false;
     }
     if (sh->opts.check_feasibility) {
       ctx->charge(2.0 * cm.cmp * static_cast<double>(inner.size() * m));
-      const auto lbs_inner = lbs_outer.subspan(
-          static_cast<std::size_t>(inner.start - outer.start) * m,
-          static_cast<std::size_t>(inner.size()) * m);
-      if (auto v = phi_f(gather(1, llbs, inner), lbs_inner, inner_ascending)) {
-        if (flag({0, i, -1, source_of(*v), v->what})) return false;
-      }
+      record_phi_f(v->feasibility);
+      if (v->feasibility && flag({0, i, -1, source_of(*v->feasibility),
+                                  v->feasibility->what}))
+        return false;
     }
     return true;
   }

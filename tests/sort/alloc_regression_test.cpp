@@ -117,6 +117,32 @@ TEST(AllocRegressionTest, SteadyStateCountIsBlockSizeIndependent) {
   EXPECT_LE(large, small + 4);
 }
 
+// At m >= 2 S_FT memoizes its stage-boundary verdicts in the machine's block
+// arena (sim::VerdictMemo).  The memo keeps its table and key storage across
+// Machine::reset, so on a warm machine it costs no allocation: a dim-5,
+// m=16 run, which consults the memo at every stage boundary, allocates no
+// more than the m=1 run that never does.
+TEST(AllocRegressionTest, WarmBlockSftRunMemoAllocatesNothing) {
+  SKIP_WITHOUT_HOOK();
+  const int dim = 5;
+  auto measure = [&](std::size_t block) {
+    auto input =
+        util::random_keys(31 + block, (std::size_t{1} << dim) * block);
+    sim::Machine machine(cube::Topology{dim}, sim::CostModel{});
+    SftOptions opts;
+    opts.block = block;
+    opts.machine = &machine;
+    // A dim-5 machine's pools take a few runs to reach their peak working
+    // set (548, 105, 85, 50, 37, 33 allocations at m=1), so both sizes are
+    // measured at that fixed point, not after a single warm-up.
+    for (int warm = 0; warm < 6; ++warm) (void)run_sft(dim, input, opts);
+    return allocs_during([&] { (void)run_sft(dim, input, opts); });
+  };
+  const std::uint64_t small = measure(1);
+  const std::uint64_t large = measure(16);
+  EXPECT_LE(large, small + 4) << "m=16: " << large << ", m=1: " << small;
+}
+
 // The whole point, as an absolute bound: a warm dim-4, m=1 S_FT run on a
 // reused machine allocates at most 63 times.  That is a tenth of the 634
 // allocations the retired construct-per-run, unpooled path made for this

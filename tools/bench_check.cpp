@@ -35,8 +35,10 @@
 //              path measures 2.5-3.9 allocations per node and scenario at
 //              dims 2-6, the per-message allocation it replaced 20-45,
 //              the speedup/cpus_available contract is broken: hosts with
-//              >= 2 CPUs must report a positive "speedup" number, hosts
-//              with fewer must report "speedup": null plus a
+//              >= 2 CPUs must report a positive "speedup" number no larger
+//              than parallel_jobs (N workers cannot beat the serial leg
+//              more than N-fold; a larger figure is a timing artifact),
+//              hosts with fewer must report "speedup": null plus a
 //              speedup_skipped_reason string (no more committing 0.7x
 //              "slowdowns" measured on a 1-core container).
 //
@@ -183,9 +185,15 @@ bool check_file(const char* label, const std::string& path, json::Value* out) {
   if (speedup == o.end()) {
     fail(label, "missing key \"speedup\" (number or null)");
   } else if (cpus >= 2) {
+    double jobs = 0;
+    json::get_num(o, "parallel_jobs", jobs);
     if (!speedup->second.is_number() || speedup->second.num() <= 0)
       fail(label, "host has >= 2 CPUs but \"speedup\" is not a positive "
                   "number");
+    else if (speedup->second.num() > jobs)
+      fail(label, "\"speedup\" " + std::to_string(speedup->second.num()) +
+                      " exceeds parallel_jobs " + std::to_string(jobs) +
+                      ", more than that many workers can deliver");
   } else {
     if (!speedup->second.is_null())
       fail(label, "host has < 2 CPUs but \"speedup\" is not null — "
